@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, min_image, open_kernel_and_escape
+from .model import ModelParams, min_image, open_kernel_and_escape, output_times
 
 MASS_TOL = 1e-9
 NEGATIVITY_TOL = -1e-12
@@ -133,9 +133,7 @@ def cme_integrate(
     non-negativity (>= -1e-12); violations raise :class:`IntegrationError`
     rather than being clipped, so integrator bugs stay visible.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("output times must be strictly increasing and non-negative")
+    t_grid = output_times(t_grid)
     origin = None
     if isinstance(n0, DensityProfile):
         origin = n0.origin

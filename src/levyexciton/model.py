@@ -117,6 +117,18 @@ class ModelParams:
         )
 
 
+def output_times(t) -> np.ndarray:
+    """A propagator's output times as a float array.
+
+    Every propagator starts at t = 0 and runs forward, so the grid must be
+    non-empty, strictly increasing and non-negative (NaN fails both).
+    """
+    grid = np.atleast_1d(np.asarray(t, dtype=float))
+    if grid.size == 0 or not (np.all(np.diff(grid) > 0) and grid[0] >= 0):
+        raise ValueError("output times must be strictly increasing and non-negative")
+    return grid
+
+
 # -- lattice indexing ---------------------------------------------------------
 
 

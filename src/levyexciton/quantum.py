@@ -11,7 +11,15 @@ carries the weak-dephasing spectral machinery: for each momentum q of the
 translation-invariant ring the evolution block is C_q + gamma X with C_q an
 anti-Hermitian circulant and X = diag(1 - delta_{m,0}); eigenvalues E give
 decay modes e^{-E t}, perturbation theory in gamma gives the fast branch,
-and exact diagonalization exposes the slow (non-perturbative) one.
+and the exact spectrum exposes the slow (non-perturbative) one.
+
+In the plane-wave basis the block is diag(d) - (gamma/N) 1 1^T with
+d = E0 + gamma, E0 the circulant's levels (one FFT). Its eigenvalues are the
+roots of the secular equation (gamma/N) sum_k 1/(d_k - E) = 1 and its
+eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), so every block is
+solved in O(N^2) per root-finder sweep; dense ``eig`` is the per-block
+fallback. Blocks q and -q are transposes of each other, so only
+(N + 1)/2 blocks are solved.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, min_image, sum_r2_hopping_sq
+from .model import ModelParams, min_image, output_times, sum_r2_hopping_sq
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -30,6 +38,8 @@ DIAG_NEGATIVITY_TOL = -1e-12
 REAL_BRANCH_IM_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-8
 DEGENERACY_GAP = 1e-8
+SECULAR_MAX_SWEEPS = 200
+SORT_TIE_TOL = 1e-10
 
 
 class PropagationError(RuntimeError):
@@ -123,10 +133,12 @@ def propagate_G(
 ) -> list[CorrelationMatrix]:
     """Adaptive integration of the dephasing equation of motion.
 
-    Hermiticity, trace conservation, and population positivity are asserted
-    at every output time; a breach raises :class:`PropagationError`.
+    Output times must be strictly increasing and non-negative
+    (``ValueError`` otherwise). Hermiticity, trace conservation, and
+    population positivity are asserted at every output time; a breach raises
+    :class:`PropagationError`.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_grid = output_times(t_grid)
     N = params.N
     h = build_h(params)
     hT = h.T.copy()
@@ -224,20 +236,26 @@ def build_circulant(q_index: int, params: ModelParams) -> np.ndarray:
     return 1j * (1.0 - np.exp(1j * q * diff)) * hmat
 
 
+def _to_sites(W: np.ndarray) -> np.ndarray:
+    """Plane-wave coefficients (rows k) to site amplitudes (rows m).
+
+    Column k of the identity maps to the unit plane wave e^{2 pi i m k / N} / sqrt N.
+    """
+    return np.fft.ifft(W, axis=0) * math.sqrt(W.shape[0])
+
+
 def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
     """Eigenvalues of C_q: the DFT of its first row, purely imaginary.
 
-    For odd N exactly one eigenvalue vanishes per momentum and the remainder
-    come in conjugate pairs.
+    Entry k belongs to the plane wave of :func:`_to_sites` column k. For odd
+    N exactly one eigenvalue vanishes per momentum and the remainder come in
+    conjugate pairs.
     """
     _require_odd_ring(params)
     N = params.N
     q = momentum(params, q_index)
-    m = np.arange(N)
-    row = 1j * (1.0 - np.exp(-1j * q * m)) * _ring_h_row(params)
-    k = np.arange(N)
-    phases = np.exp(1j * 2.0 * math.pi * np.outer(m, k) / N)
-    return row @ phases
+    row = 1j * (1.0 - np.exp(-1j * q * np.arange(N))) * _ring_h_row(params)
+    return np.fft.ifft(row) * N
 
 
 def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> np.ndarray:
@@ -289,9 +307,6 @@ def perturbed_eigenvectors(q_index: int, params: ModelParams) -> np.ndarray:
     E0 = unperturbed_spectrum(q_index, params)
     N = params.N
     gamma = params.gamma
-    m = np.arange(N)
-    k = np.arange(N)
-    A0 = np.exp(1j * 2.0 * math.pi * np.outer(m, k) / N) / math.sqrt(N)
     x = E0.imag
     dx = x[:, None] - x[None, :]
     off = ~np.eye(N, dtype=bool)
@@ -300,12 +315,19 @@ def perturbed_eigenvectors(q_index: int, params: ModelParams) -> np.ndarray:
     # coeff[p, k] = 1/(E0_k - E0_p), zero on the diagonal
     denom = 1j * np.where(off, -dx, 1.0)
     coeff = np.where(off, 1.0 / denom, 0.0)
-    return A0 - (gamma / N) * (A0 @ coeff)
+    return _to_sites(np.eye(N) - (gamma / N) * coeff)
 
 
 @dataclass
 class SpectralSet:
-    """Eigen-data of one momentum block C_q + gamma X."""
+    """Eigen-data of one momentum block C_q + gamma X.
+
+    Eigenvalues are sorted by (Re E, Im E); eigenvectors are unit columns in
+    the site basis. ``condition`` is the certified upper bound
+    sqrt(N) ||kappa||_2 on the 2-norm condition number of the eigenvector
+    matrix, kappa_j being the eigenvalue condition numbers; ``solver`` says
+    which path produced the block, ``"secular"`` or ``"dense"``.
+    """
 
     q_index: int
     eigenvalues: np.ndarray
@@ -313,14 +335,112 @@ class SpectralSet:
     branch: np.ndarray  # "real" / "complex" per eigenvalue
     residual: float
     condition: float
+    solver: str
 
 
-def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
-    """Dense non-Hermitian diagonalization of one momentum block.
+def _reflect(N: int) -> np.ndarray:
+    """Row permutation m -> -m mod N."""
+    return (-np.arange(N)) % N
 
-    Delegates to LAPACK's Hessenberg-plus-shifted-QR driver; the eigenpair
-    residual and the eigenbasis condition number are always reported.
+
+def _pairing_norms(V: np.ndarray) -> np.ndarray:
+    """n_j = (P v_j)^T v_j, P the reflection m -> -m.
+
+    The block satisfies M^T = P M P, so P v_j is the left eigenvector paired
+    with v_j (unconjugated) and 1/|n_j| is eigenvalue j's condition number.
     """
+    return np.einsum("mj,mj->j", V[_reflect(V.shape[0])], V)
+
+
+def _spectral_set(q_index: int, E: np.ndarray, V: np.ndarray, residual: float, solver: str) -> SpectralSet:
+    # sort by (Re E, Im E) with real parts equal to SORT_TIE_TOL counted as
+    # ties: the roots come in conjugate pairs E, conj(E), whose real parts
+    # differ only by rounding, and either solver must list a pair the same way
+    by_re = np.argsort(E.real, kind="stable")
+    tie_tol = SORT_TIE_TOL * max(1.0, float(np.max(np.abs(E))))
+    group = np.concatenate(([0], np.cumsum(np.diff(E.real[by_re]) > tie_tol)))
+    order = by_re[np.lexsort((E.imag[by_re], group))]
+    E, V = E[order], V[:, order]
+    branch = np.where(np.abs(E.imag) <= REAL_BRANCH_IM_TOL, "real", "complex")
+    with np.errstate(divide="ignore"):
+        kappa = 1.0 / np.abs(_pairing_norms(V))
+    # max kappa <= cond_2(V) <= ||V||_F ||V^-1||_F = sqrt(N) ||kappa||_2
+    condition = math.sqrt(V.shape[0]) * float(np.linalg.norm(kappa))
+    return SpectralSet(q_index, E, V, branch, residual, condition, solver)
+
+
+def _secular_seeds(d: np.ndarray, gamma: float) -> np.ndarray:
+    """Starting points for the roots of the block's secular equation.
+
+    d = gamma + i x. When the dephasing coupling gamma/N is below the median
+    spacing of the levels x, each root starts at its first-order position
+    d_k - gamma/N. Otherwise N - 1 roots start halfway between neighbouring
+    levels, where they settle as gamma grows, and the last one where the
+    block's trace (the eigenvalue sum) puts it.
+    """
+    N = d.size
+    x = np.sort(d.imag)
+    if gamma / N <= np.median(np.diff(x)):
+        return d - gamma / N
+    z = np.empty(N, dtype=complex)
+    z[:-1] = gamma + 0.5j * (x[1:] + x[:-1])
+    z[-1] = d.sum() - gamma - z[:-1].sum()
+    return z
+
+
+def _secular_roots(d: np.ndarray, rho: float, z: np.ndarray) -> tuple[np.ndarray, bool]:
+    """All N roots of p(E) = prod_k (d_k - E) * (1 - rho sum_k 1/(d_k - E)).
+
+    Aberth-Ehrlich iteration from the starting points ``z``, evaluated
+    through the secular function f(E) = 1 - rho sum_k 1/(d_k - E), so that a
+    sweep costs O(N) per root; converged roots are frozen. Returns the roots
+    and whether all of them converged within ``SECULAR_MAX_SWEEPS`` sweeps.
+    """
+    z = np.array(z, dtype=complex)
+    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(d)))
+    active = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(SECULAR_MAX_SWEEPS):
+            za = z[active]
+            r = 1.0 / (d[None, :] - za[:, None])
+            s1 = r.sum(axis=1)
+            f = 1.0 - rho * s1
+            fp = -rho * (r * r).sum(axis=1)
+            gaps = za[:, None] - z[None, :]
+            gaps[np.arange(active.size), active] = np.inf
+            # p'/p = f'/f - s1; the Aberth step is 1 / (p'/p - sum_i 1/(z_j - z_i))
+            step = f / (fp - f * (s1 + (1.0 / gaps).sum(axis=1)))
+            if not np.all(np.isfinite(step)):
+                return z, False
+            z[active] = za - step
+            active = active[np.abs(step) > tol]
+            if active.size == 0:
+                return z, True
+    return z, False
+
+
+def _steady_block(params: ModelParams) -> SpectralSet:
+    """q = 0: C_0 = 0 and the block is gamma X, diagonal in the site basis.
+
+    The steady mode is e_0; the (N-1)-fold level gamma takes the even and odd
+    combinations (e_m +- e_-m)/sqrt 2, which keep the reflection pairing of
+    :func:`_pairing_norms` diagonal.
+    """
+    N = params.N
+    E = np.full(N, params.gamma, dtype=complex)
+    E[0] = 0.0
+    V = np.zeros((N, N), dtype=complex)
+    V[0, 0] = 1.0
+    m = np.arange(1, (N + 1) // 2)
+    s = 1.0 / math.sqrt(2.0)
+    V[m, 2 * m - 1] = V[N - m, 2 * m - 1] = s
+    V[m, 2 * m] = s
+    V[N - m, 2 * m] = -s
+    return _spectral_set(0, E, V, 0.0, "secular")
+
+
+def _dense_block(q_index: int, params: ModelParams) -> SpectralSet:
+    """Fallback: dense non-Hermitian ``eig`` of the site-basis block."""
     M = build_circulant(q_index, params) + params.gamma * np.diag(
         (np.arange(params.N) != 0).astype(float)
     )
@@ -329,17 +449,67 @@ def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed at q index {q_index}: {exc}") from exc
     res = float(np.max(np.abs(M @ V - V * E)) / max(1.0, float(np.max(np.abs(V)))))
-    if res > EIG_RESIDUAL_TOL:
+    if not res <= EIG_RESIDUAL_TOL:
         raise SpectralError(f"eigen-residual {res:.3e} at q index {q_index}")
-    branch = np.where(np.abs(E.imag) <= REAL_BRANCH_IM_TOL, "real", "complex")
-    cond = float(np.linalg.cond(V))
-    return SpectralSet(q_index, E, V, branch, res, cond)
+    return _spectral_set(q_index, E, V, res, "dense")
+
+
+def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
+    """Eigen-decomposition of one momentum block from its secular equation.
+
+    The roots come from :func:`_secular_roots`; eigenvector j is the unit
+    column (D - E_j)^-1 1 mapped to the site basis by an FFT. The residual
+    max_j ||M w_j - E_j w_j||_2 is taken in the plane-wave basis (the FFT is
+    unitary, so it bounds the site-basis residual), and the roots must sum to
+    the block's trace. q = 0 and gamma = 0 are solved exactly. A block whose
+    roots do not converge or fail either check goes to dense ``eig``
+    (``solver == "dense"``), which raises :class:`SpectralError` when it
+    fails too.
+    """
+    _require_odd_ring(params)
+    N, gamma = params.N, params.gamma
+    if q_index % N == 0:
+        return _steady_block(params)
+    d = unperturbed_spectrum(q_index, params) + gamma
+    if gamma == 0.0:
+        return _spectral_set(q_index, d, _to_sites(np.eye(N, dtype=complex)), 0.0, "secular")
+    rho = gamma / N
+    E, converged = _secular_roots(d, rho, _secular_seeds(d, gamma))
+    if converged:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = 1.0 / (d[:, None] - E[None, :])
+            W /= np.linalg.norm(W, axis=0)
+            R = (d[:, None] - E[None, :]) * W - rho * W.sum(axis=0)
+            res = float(np.max(np.linalg.norm(R, axis=0)))
+        trace_dev = abs(E.sum() - (d.sum() - gamma))
+        if res <= EIG_RESIDUAL_TOL and trace_dev <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(d)))):
+            return _spectral_set(q_index, E, _to_sites(W), res, "secular")
+    return _dense_block(q_index, params)
+
+
+def _mirror(s: SpectralSet, N: int) -> SpectralSet:
+    """Block -q from block q: M_{-q} = M_q^T = P M_q P, eigenvectors P v_j."""
+    V = s.eigenvectors[_reflect(N)]
+    return SpectralSet(
+        (N - s.q_index) % N, s.eigenvalues.copy(), V, s.branch.copy(), s.residual, s.condition, s.solver
+    )
+
+
+def _half_spectrum(params: ModelParams):
+    """Blocks q = 0..(N-1)/2, solved one at a time; the rest are their mirrors."""
+    for qi in range((params.N + 1) // 2):
+        yield solve_dephasing_block(qi, params)
 
 
 def solve_dephasing_spectrum(params: ModelParams) -> list[SpectralSet]:
     """All N momentum blocks (deterministic q order)."""
-    _require_odd_ring(params)
-    return [solve_dephasing_block(qi, params) for qi in range(params.N)]
+    N = params.N
+    sets = [None] * N
+    for s in _half_spectrum(params):
+        sets[s.q_index] = s
+        if s.q_index:
+            sets[N - s.q_index] = _mirror(s, N)
+    return sets
 
 
 @dataclass
@@ -358,82 +528,83 @@ def slow_modes(params: ModelParams, keep_sets: bool = False) -> SlowModeSummary:
 
     real_gap: smallest nonzero real part among real-classified eigenvalues
     (the slow branch); complex_gap: smallest real part of the complex branch,
-    which perturbation theory places at gamma (N-1)/N.
+    which perturbation theory places at gamma (N-1)/N. Without ``keep_sets``
+    only one block's eigenvectors are held at a time.
     """
-    sets = solve_dephasing_spectrum(params)
+    if keep_sets:
+        sets = solve_dephasing_spectrum(params)
+        blocks = [(s, 1) for s in sets]
+    else:
+        sets = []
+        # block -q repeats the eigenvalues of block q
+        blocks = ((s, 2 if s.q_index else 1) for s in _half_spectrum(params))
     reals, comps = [], []
-    for s in sets:
+    n_real = 0
+    for s, copies in blocks:
         re = s.eigenvalues.real
         mask = s.branch == "real"
-        nz = re > 1e-12 * params.gamma
-        reals.extend(re[mask & nz])
-        comps.extend(re[~mask])
+        slow = re[mask & (re > 1e-12 * params.gamma)]
+        reals.append(slow)
+        comps.append(re[~mask])
+        n_real += copies * slow.size
     return SlowModeSummary(
         N=params.N,
-        real_gap=float(np.min(reals)),
-        complex_gap=float(np.min(comps)),
-        n_real=len(reals),
-        sets=sets if keep_sets else [],
+        real_gap=float(np.min(np.concatenate(reals))),
+        complex_gap=float(np.min(np.concatenate(comps))),
+        n_real=n_real,
+        sets=sets,
     )
-
-
-def slow_mode_scaling(params: ModelParams, sizes) -> dict:
-    """Slow-branch gap vs system size with a log-log power-law fit."""
-    gaps, cgaps = [], []
-    for N in sizes:
-        p = ModelParams(d=1, alpha=params.alpha, J=params.J, gamma=params.gamma, N=int(N), bc="periodic")
-        s = slow_modes(p)
-        gaps.append(s.real_gap)
-        cgaps.append(s.complex_gap)
-    slope, intercept = np.polyfit(np.log(sizes), np.log(gaps), 1)
-    return {
-        "sizes": list(sizes),
-        "real_gaps": gaps,
-        "complex_gaps": cgaps,
-        "exponent": float(slope),
-        "prefactor": float(np.exp(intercept)),
-    }
 
 
 def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_limit: float = 1e8):
     """Evolve G through the per-momentum eigendecompositions.
 
     G(0) is expanded on the eigenmatrices A^{q,k}_{j,m} = e^{iqj} a^{q,k}_{m-j}
-    by the biorthogonal (left-eigenvector) pairing: Fourier transform the
-    shifted diagonals of G(0) over the center coordinate, solve V c = g per
-    momentum block, damp each coefficient by e^{-E t}, and transform back.
-    Agrees with :func:`propagate_G`; an ill-conditioned eigenbasis raises
+    by the biorthogonal pairing: Fourier transform the shifted diagonals of
+    G(0) over the center coordinate, project each momentum component on the
+    left eigenvectors P v_j of its block (P the reflection m -> -m), damp each
+    coefficient by e^{-E t}, and transform back. Output times must be
+    strictly increasing and non-negative; hermiticity, trace and population
+    positivity are checked at every one, as in :func:`propagate_G`, which it
+    agrees with. An ill-conditioned eigenbasis raises
     :class:`ConditioningError` with the offending block.
     """
     _require_odd_ring(params)
     N = params.N
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = output_times(t)
     Gin = G0.G if isinstance(G0, CorrelationMatrix) else np.asarray(G0, dtype=complex)
+    trace0 = float(Gin.trace().real)
     # shifted-diagonal representation: S[j, mu] = G_{j, (j+mu) mod N};
     # the block label q enters as G ~ e^{+iqj}, so analysis is fft/N
     j = np.arange(N)
-    S = Gin[j[:, None], (j[:, None] + j[None, :]) % N]
-    ghat = np.fft.fft(S, axis=0) / N  # ghat[q, mu]
-    sets = solve_dephasing_spectrum(params)
-    coeffs = []
-    for s in sets:
+    shift = (j[:, None] + j[None, :]) % N
+    ghat = np.fft.fft(Gin[j[:, None], shift], axis=0) / N  # ghat[q, mu]
+    flip = _reflect(N)
+    # one N x N slab per output time: the evolved ghat[q, mu] first, G after
+    slabs = np.empty((ts.size, N, N), dtype=complex)
+    for s in _half_spectrum(params):
         if s.condition > cond_limit:
             raise ConditioningError(
                 f"eigenbasis condition {s.condition:.2e} at q index {s.q_index} "
                 f"exceeds {cond_limit:.1e}; fall back to propagate_G"
             )
-        coeffs.append(np.linalg.solve(s.eigenvectors, ghat[s.q_index]))
+        V = s.eigenvectors
+        norms = _pairing_norms(V)
+        decay = np.exp(-np.outer(s.eigenvalues, ts))
+        q = s.q_index
+        c = (V.T @ ghat[q][flip]) / norms
+        slabs[:, q, :] = (V @ (c[:, None] * decay)).T
+        if q:
+            # block -q has right eigenvectors P v_j and left ones v_j
+            c = (V.T @ ghat[N - q]) / norms
+            slabs[:, N - q, :] = (V @ (c[:, None] * decay))[flip].T
     out = []
-    for tv in ts:
-        Snew = np.empty_like(S)
-        for s, c in zip(sets, coeffs):
-            Snew[s.q_index] = s.eigenvectors @ (c * np.exp(-s.eigenvalues * tv))
-        # back to site representation: G_{j, j+mu} = sum_q e^{iqj} Snew[q, mu]
-        Sj = np.fft.ifft(Snew, axis=0) * N
-        G = np.empty((N, N), dtype=complex)
-        G[j[:, None], (j[:, None] + j[None, :]) % N] = Sj
+    for G, tv in zip(slabs, ts):
+        # back to site representation: G_{j, j+mu} = sum_q e^{iqj} slab[q, mu]
+        G[j[:, None], shift] = np.fft.ifft(G, axis=0) * N
+        _check_G(G, trace0, float(tv))
         out.append(CorrelationMatrix(float(tv), G, params.bc))
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
+    if np.ndim(t) == 0:
         return out[0]
     return out
 

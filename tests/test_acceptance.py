@@ -237,11 +237,13 @@ class TestAcceptance:
         ok = abs(r3 - 2.8) <= 0.02 * 2.8 and abs(r2 - 1.5) <= 0.02 * 1.5
         assert report(10, "Foerster enhancement", ok, f"d=3: {r3:.4f}, d=2: {r2:.4f}")
 
-    def test_11_weak_dephasing_spectra(self):
+    @staticmethod
+    def _weak_dephasing_scan(sizes, perturbative=True):
+        """Criterion 11's two clauses on the given rings: the perturbative
+        minimum within 5 % of gamma (N-1)/N (unless ``perturbative`` is
+        false), and the slow-branch exponents."""
         gamma, J = 0.1, 1.0
-        sizes = [51, 101, 201]
         pert_ok = True
-        pert_detail = []
         exponents = {}
         for alpha in (1.0, 2.0, 3.0):
             gaps = []
@@ -249,19 +251,24 @@ class TestAcceptance:
                 p = ModelParams(d=1, alpha=alpha, J=J, gamma=gamma, N=N, bc="periodic")
                 s = slow_modes(p)
                 gaps.append(s.real_gap)
+                if not perturbative:
+                    continue
                 best = math.inf
                 for qi in range(N):
                     re = perturbative_spectrum(qi, p, order=2).real
                     best = min(best, float(np.min(re[re > 1e-12 * gamma])))
                 target = gamma * (N - 1) / N
                 pert_ok = pert_ok and abs(best - target) <= 0.05 * target
-                pert_detail.append(f"N={N},a={alpha}: {best:.5f}/{target:.5f}")
             exponents[alpha] = float(np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
         expo_ok = (
             abs(exponents[1.0] + 1.0) <= 0.15
             and abs(exponents[2.0] + 2.0) <= 0.2
             and abs(exponents[3.0] + 2.0) <= 0.2
         )
+        return pert_ok, expo_ok, exponents
+
+    def test_11_weak_dephasing_spectra(self):
+        pert_ok, expo_ok, exponents = self._weak_dephasing_scan([51, 101, 201])
         ok = pert_ok and expo_ok
         report(
             11,
@@ -275,8 +282,18 @@ class TestAcceptance:
             f"slow-branch exponents {exponents} miss -1/-2/-2: at gamma = 0.1 the "
             "slow branch detaches below gamma only past N* = 2 pi sqrt(D/gamma) "
             "(~114 for alpha = 2), so N in {51,101,201} saturates at gamma for two "
-            "of three sizes; larger sizes recover the scaling (see decisions ledger)"
+            "of three sizes; larger sizes recover the scaling "
+            "(test_11_companion_larger_rings)"
         )
+
+    def test_11_companion_larger_rings(self):
+        # criterion 11's exponent clause with the gate's own tolerances on
+        # rings past the detachment size N*: exponents about -1.00, -2.08,
+        # -2.17. The perturbative clause passes at the gate's sizes; at N = 301
+        # second-order perturbation theory refuses blocks whose unperturbed
+        # levels lie 3e-9 (alpha = 2) and 2e-10 (alpha = 3) apart.
+        _, expo_ok, exponents = self._weak_dephasing_scan([201, 301, 401], perturbative=False)
+        assert expo_ok, f"slow-branch exponents {exponents} miss -1/-2/-2 at N in {{201, 301, 401}}"
 
     def test_12_property_suites(self):
         checks = []

@@ -140,6 +140,20 @@ class TestRun:
         kmc_rows = (tmp_path / "kmc.csv").read_text().strip().splitlines()
         assert kmc_rows[0] == "t,j,n_mean,n_stderr"
 
+    def test_duality_check_ratio_is_order_one(self, tmp_path):
+        # the deviation is scaled by the dual prediction's Bernoulli stderr,
+        # so sites where every trajectory agrees no longer divide by zero
+        cfg = ExperimentConfig(
+            "manybody-relax",
+            ModelParams(d=1, alpha=2.0, J=1.0, gamma=2.0, N=16, bc="open"),
+            RunOptions(times=[0.3, 1.0], trajectories=200, seed=7, out_dir=str(tmp_path)),
+        )
+        run(cfg)
+        lines = (tmp_path / "duality_check.txt").read_text().splitlines()
+        stats = dict(line.split(" = ") for line in lines)
+        ratio = float(stats["max_deviation_over_stderr"])
+        assert 0.5 < ratio < 6.0
+
     def test_classical_moments_kind(self, tmp_path):
         cfg = ExperimentConfig(
             "classical-moments",

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 
 from levyexciton.model import ModelParams, sum_r2_hopping_sq
+from levyexciton import quantum
 from levyexciton.quantum import (
+    EIG_RESIDUAL_TOL,
+    ConditioningError,
     CorrelationMatrix,
     DegenerateSpectrumError,
+    PropagationError,
     build_circulant,
     build_h,
     initial_g_delta,
@@ -18,6 +22,7 @@ from levyexciton.quantum import (
     propagate_G,
     slow_modes,
     solve_dephasing_block,
+    solve_dephasing_spectrum,
     spectral_propagate_G,
     unperturbed_spectrum,
     variance_closed_form,
@@ -293,6 +298,145 @@ class TestHermiticityInvariants:
     def test_invariants_at_outputs(self):
         p = ring(2.0, 21, gamma=1.0)
         for cm in propagate_G(initial_g_delta(p), p, [0.5, 2.0, 8.0]):
+            assert np.max(np.abs(cm.G - cm.G.conj().T)) < 1e-10
+            assert cm.trace() == pytest.approx(1.0, abs=1e-9)
+            assert cm.density.min() > -1e-12
+
+
+def dephasing_block(qi, p):
+    """Site-basis block C_q + gamma X, the dense oracle's input."""
+    return build_circulant(qi, p) + p.gamma * np.diag((np.arange(p.N) != 0).astype(float))
+
+
+def set_distance(a, b):
+    """Largest gap of the best one-to-one matching between two eigenvalue sets."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+class TestSecularSolver:
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("N", [31, 61, 101])
+    def test_roots_match_dense_eig(self, gamma, N):
+        for alpha in (1.0, 2.0, 3.0):
+            p = ring(alpha, N, gamma=gamma)
+            for qi in (1, N // 4, N // 2, N - 2):
+                blk = solve_dephasing_block(qi, p)
+                assert blk.solver == "secular"
+                M = dephasing_block(qi, p)
+                assert set_distance(blk.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
+                assert blk.residual <= EIG_RESIDUAL_TOL
+                V = blk.eigenvectors
+                assert np.max(np.abs(M @ V - V * blk.eigenvalues)) <= EIG_RESIDUAL_TOL
+
+    def test_q0_block_is_exact(self):
+        p = ring(2.0, 21, gamma=0.3)
+        blk = solve_dephasing_block(0, p)
+        ref = np.full(21, 0.3)
+        ref[0] = 0.0
+        np.testing.assert_array_equal(blk.eigenvalues, ref)
+        M = dephasing_block(0, p)
+        V = blk.eigenvectors
+        np.testing.assert_allclose(M @ V, V * blk.eigenvalues, atol=1e-15)
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(21), atol=1e-15)
+
+    def test_gamma0_block_is_plane_waves(self):
+        p = ring(1.5, 13, gamma=0.0)
+        blk = solve_dephasing_block(4, p)
+        E0 = unperturbed_spectrum(4, p)
+        assert set_distance(blk.eigenvalues, E0) == 0.0
+        M = dephasing_block(4, p)
+        V = blk.eigenvectors
+        assert np.max(np.abs(M @ V - V * blk.eigenvalues)) <= 1e-13
+
+    def test_eigenvalues_sorted_on_both_paths(self, monkeypatch):
+        # by (Re E, Im E); a conjugate pair, equal in Re up to rounding, is
+        # listed lower Im first
+        p = ring(2.0, 31, gamma=1.0)
+        blocks = [solve_dephasing_block(7, p)]
+        monkeypatch.setattr(quantum, "_secular_roots", lambda d, rho, z: (z, False))
+        blocks.append(solve_dephasing_block(7, p))
+        assert [b.solver for b in blocks] == ["secular", "dense"]
+        np.testing.assert_allclose(blocks[0].eigenvalues, blocks[1].eigenvalues, atol=1e-11)
+        for b in blocks:
+            step = np.diff(b.eigenvalues)
+            tie = np.abs(step.real) <= 1e-10
+            assert tie.any()
+            assert np.all(step.real[~tie] > 0)
+            assert np.all(step.imag[tie] > 0)
+
+    def test_condition_bound_brackets_dense_cond(self):
+        for gamma in (0.1, 10.0):
+            p = ring(2.0, 31, gamma=gamma)
+            for qi in (0, 3, 15):
+                blk = solve_dephasing_block(qi, p)
+                V = blk.eigenvectors
+                # eigenvalue condition numbers from the rows of V^-1 (left eigenvectors)
+                kappa = np.linalg.norm(np.linalg.inv(V), axis=1) * np.linalg.norm(V, axis=0)
+                cond = np.linalg.cond(V)
+                assert kappa.max() <= cond * (1 + 1e-10)
+                assert cond <= blk.condition * (1 + 1e-10)
+
+    def test_unconverged_roots_fall_back_to_dense(self, monkeypatch):
+        p = ring(3.0, 31, gamma=0.1)
+        secular = solve_dephasing_block(5, p)
+        monkeypatch.setattr(quantum, "_secular_roots", lambda d, rho, z: (z, False))
+        blk = solve_dephasing_block(5, p)
+        assert blk.solver == "dense"
+        assert set_distance(blk.eigenvalues, np.linalg.eigvals(dephasing_block(5, p))) <= 1e-12
+        np.testing.assert_allclose(blk.eigenvalues, secular.eigenvalues, atol=1e-11)
+        # the propagator uses the dense blocks the same way
+        G0 = initial_g_delta(p)
+        ode = propagate_G(G0, p, [3.0])[0]
+        spec = spectral_propagate_G(G0, p, 3.0)
+        assert np.max(np.abs(spec.G - ode.G)) < 1e-8
+
+    def test_block_minus_q_is_the_mirror_of_block_q(self):
+        p = ring(1.0, 41, gamma=0.5)
+        sets = solve_dephasing_spectrum(p)
+        assert [s.q_index for s in sets] == list(range(41))
+        for qi in (1, 20, 21, 40):
+            s = sets[qi]
+            M = dephasing_block(qi, p)
+            V = s.eigenvectors
+            assert np.max(np.abs(M @ V - V * s.eigenvalues)) <= EIG_RESIDUAL_TOL
+            assert set_distance(s.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
+
+    def test_slow_modes_counts_mirrored_blocks(self):
+        p = ring(2.0, 31, gamma=1.0)
+        half = slow_modes(p)
+        full = slow_modes(p, keep_sets=True)
+        assert len(full.sets) == 31 and half.sets == []
+        assert (half.real_gap, half.complex_gap, half.n_real) == (full.real_gap, full.complex_gap, full.n_real)
+        assert full.n_real == sum(int(np.sum((s.branch == "real") & (s.eigenvalues.real > 1e-12))) for s in full.sets)
+
+
+class TestPropagatorParity:
+    @pytest.mark.parametrize("grid", [[-1.0], [0.0, 2.0, 1.0], [1.0, 1.0], [np.nan]])
+    @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
+    def test_bad_time_grid_refused(self, propagate, grid):
+        p = ring(2.0, 11)
+        with pytest.raises(ValueError, match="strictly increasing and non-negative"):
+            propagate(initial_g_delta(p), p, grid)
+
+    def test_scalar_negative_time_refused(self):
+        p = ring(2.0, 11)
+        with pytest.raises(ValueError, match="strictly increasing and non-negative"):
+            spectral_propagate_G(initial_g_delta(p), p, -1.0)
+
+    @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
+    def test_invariant_breach_raises(self, propagate):
+        # a non-Hermitian start fails the hermiticity check at the first output
+        p = ring(2.0, 11)
+        G = initial_g_delta(p).G
+        G[0, 1] = 0.5
+        with pytest.raises(PropagationError, match="hermiticity"):
+            propagate(G, p, [0.0, 1.0])
+
+    def test_spectral_states_pass_invariants(self):
+        p = ring(2.0, 21, gamma=1.0)
+        for cm in spectral_propagate_G(initial_g_delta(p), p, [0.5, 2.0, 8.0]):
             assert np.max(np.abs(cm.G - cm.G.conj().T)) < 1e-10
             assert cm.trace() == pytest.approx(1.0, abs=1e-9)
             assert cm.density.min() > -1e-12
