@@ -1,8 +1,8 @@
 """Exciton transport in dephasing lattices with power-law hopping.
 
 Subpackages by physics layer: :mod:`~levyexciton.model` (parameters and rate
-kernels), :mod:`~levyexciton.special` (self-contained special functions),
-:mod:`~levyexciton.analytic` (closed forms and asymptotics),
+kernels), :mod:`~levyexciton.special` (special functions, on scipy.special
+where it suffices), :mod:`~levyexciton.analytic` (closed forms and asymptotics),
 :mod:`~levyexciton.classical` (single-exciton master-equation solvers),
 :mod:`~levyexciton.quantum` (dephasing dynamics of the correlation matrix and
 weak-dephasing spectra), :mod:`~levyexciton.manybody` (the long-jump

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
 from .model import ModelParams, finite_displacement_norms
 from .special import (
     _upper_gamma_cf,
     _zeta_any,
-    _faddeeva_upper,
     DAWSON_STABILITY_RADIUS,
     gamma_fn,
     lambert_w_m1,
@@ -52,7 +52,7 @@ def _lattice_sum_infinite(s: float, d: int) -> float:
     if d == 1:
         return 2.0 * riemann_zeta(s)
     w = s / 2.0
-    vals, counts = _cube_norms(d, 5)
+    vals, counts = finite_displacement_norms(11, d, "open")  # the cube |r_i| <= 5
     t1 = sum(c * _upper_gamma_cf(w, math.pi * v) * v**-w for v, c in zip(vals, counts))
     t2 = math.pi**w * (1.0 / (w - d / 2.0) - 1.0 / w)
     t3 = math.pi ** (2 * w - d / 2.0) * sum(
@@ -60,15 +60,6 @@ def _lattice_sum_infinite(s: float, d: int) -> float:
         for v, c in zip(vals, counts)
     )
     return (t1 + t2 + t3) / gamma_fn(w)
-
-
-def _cube_norms(d: int, nmax: int):
-    rng = np.arange(-nmax, nmax + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    q = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
-    q = q[q > 0]
-    vals, counts = np.unique(q, return_counts=True)
-    return vals.astype(float), counts.astype(float)
 
 
 def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") -> float:
@@ -374,9 +365,10 @@ def exact_profile_alpha1(j, t: float, params: ModelParams):
 
     For integer j the two exploding e^{-z^2} halves of the Dawson values
     cancel identically (sin(pi j) = 0), leaving the numerically stable
-    reduction n_j = Im w(z_+) / sqrt(2 pi k t) with w the Faddeeva function;
-    that reduction is what is evaluated here. Once the Dawson argument leaves
-    the stability radius the asymptotic tail kappa t / j^2 takes over.
+    reduction n_j = Im w(z_+) / sqrt(2 pi k t) with w the Faddeeva function
+    (``scipy.special.wofz``); that reduction is what is evaluated here. Once
+    the Dawson argument leaves the stability radius the asymptotic tail
+    kappa t / j^2 takes over.
     """
     if abs(params.alpha - 1.0) > 1e-12 or params.d != 1:
         raise ValueError("closed form holds for alpha = 1, d = 1")
@@ -392,7 +384,7 @@ def exact_profile_alpha1(j, t: float, params: ModelParams):
     inside = np.abs(zplus) <= DAWSON_STABILITY_RADIUS
     out = np.empty_like(jabs)
     if np.any(inside):
-        out[inside] = np.imag(_faddeeva_upper(zplus[inside])) / math.sqrt(2.0 * math.pi * kt)
+        out[inside] = np.imag(wofz(zplus[inside])) / math.sqrt(2.0 * math.pi * kt)
     if np.any(~inside):
         out[~inside] = kt / jabs[~inside] ** 2
     if np.isscalar(j) or (isinstance(j, np.ndarray) and np.asarray(j).ndim == 0):

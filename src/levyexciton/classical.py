@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, min_image, open_kernel_and_escape, output_times
+from .model import ModelParams, min_image, open_kernel_and_escape, output_times, ring_rate_row
 
 MASS_TOL = 1e-9
 NEGATIVITY_TOL = -1e-12
@@ -73,22 +73,10 @@ class DensityProfile:
         return out
 
 
-def _periodic_kernel(params: ModelParams) -> np.ndarray:
-    """Rate kernel w(r) indexed by per-axis displacement 0..N-1 (w[0] = 0)."""
-    N, d = params.N, params.d
-    ax = np.minimum(np.arange(N), N - np.arange(N)).astype(float)
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    r2 = sum(g**2 for g in grids)
-    w = np.zeros_like(r2)
-    nz = r2 > 0
-    w[nz] = params.kappa * r2[nz] ** (-params.alpha)
-    return w
-
-
 def _make_rhs(params: ModelParams):
     shape = params.shape
     if params.bc == "periodic":
-        wq = fftn(_periodic_kernel(params))
+        wq = fftn(ring_rate_row(params))
         esc = float(wq.reshape(-1)[0].real)
 
         def rhs(t, y):
@@ -142,24 +130,26 @@ def cme_integrate(
     if n0.shape != params.shape:
         raise ValueError(f"initial profile shape {n0.shape} != lattice {params.shape}")
     mass0 = float(n0.sum())
-    rhs = _make_rhs(params)
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_grid[-1])),
-        n0.ravel(),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        last = None
-        if sol.y.size:
-            last = DensityProfile(float(sol.t[-1]), sol.y[:, -1].reshape(params.shape), params.bc, origin)
-        raise IntegrationError(f"integrator failed: {sol.message}", last_profile=last)
+    Y = n0.reshape(-1, 1)  # the grid [0.0] needs no integration
+    if t_grid[-1] > 0:
+        sol = solve_ivp(
+            _make_rhs(params),
+            (0.0, float(t_grid[-1])),
+            n0.ravel(),
+            t_eval=t_grid,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+        )
+        if not sol.success:
+            last = None
+            if sol.y.size:
+                last = DensityProfile(float(sol.t[-1]), sol.y[:, -1].reshape(params.shape), params.bc, origin)
+            raise IntegrationError(f"integrator failed: {sol.message}", last_profile=last)
+        Y = sol.y
     out = []
     for k, t in enumerate(t_grid):
-        values = sol.y[:, k].reshape(params.shape)
+        values = Y[:, k].reshape(params.shape)
         _check_invariants(values, mass0, float(t))
         out.append(DensityProfile(float(t), values.copy(), params.bc, origin))
     return out
@@ -180,7 +170,7 @@ def _ring_eigenvalues(params: ModelParams) -> np.ndarray:
     The DFT of the kernel row, shifted so lambda(0) = 0 holds exactly in
     floating point (this pins K(0, t) = 1 bit-exactly).
     """
-    lam = fftn(_periodic_kernel(params)).real
+    lam = fftn(ring_rate_row(params)).real
     lam0 = lam.reshape(-1)[0]
     return lam - lam0
 

@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError(f"method must be auto|ode|spectral, got {self.run.method!r}")
         if self.run.trajectories < 0:
             raise ConfigError("trajectories must be non-negative")
+        if not self.model.gamma > 0:
+            # every kind uses kappa = 2 J^2/gamma or divides by gamma
+            raise ConfigError(f"gamma must be positive, got {self.model.gamma}")
 
 
 # -- config file parsing ---------------------------------------------------------
@@ -427,10 +430,14 @@ def _run_spectrum(config: ExperimentConfig, col: _Collector):
         path = col.out_dir / name
         quantum.spectra_to_csv(summary.sets, path)
         col.add(path)
-        # real parts at the retained perturbative order (first-order shift)
+        # real parts at the retained perturbative order (first-order shift);
+        # blocks with near-degenerate levels have no perturbative series
         pmin = math.inf
         for qi in range(pn.N):
-            re = quantum.perturbative_spectrum(qi, pn, order=2).real
+            try:
+                re = quantum.perturbative_spectrum(qi, pn, order=2).real
+            except quantum.DegenerateSpectrumError:
+                continue
             pmin = min(pmin, float(np.min(re[re > 1e-12 * pn.gamma])))
         pert_min.append(pmin)
     lines = [
@@ -647,7 +654,10 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         model_kw["d"] = args.dim
     if args.bc is not None:
         model_kw["bc"] = args.bc
-    model = replace(config.model, **model_kw) if model_kw else config.model
+    try:
+        model = replace(config.model, **model_kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     run_kw = {}
     if args.out is not None:
         run_kw["out_dir"] = args.out

@@ -226,11 +226,8 @@ def kmc_simulate(
 
 
 def _open_generator(params: ModelParams) -> np.ndarray:
-    N = params.N
-    j = np.arange(N)
-    d = np.abs(j[:, None] - j[None, :]).astype(float)
-    np.fill_diagonal(d, np.inf)
-    W = params.kappa * d ** (-2 * params.alpha)
+    j = np.arange(params.N)
+    W = open_line_rates(params)[np.abs(j[:, None] - j[None, :])]
     np.fill_diagonal(W, -W.sum(axis=1))
     return W
 

@@ -18,6 +18,8 @@ fixed in one place:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,7 @@ class ModelParams:
     J : float
         Coherent hopping amplitude (inverse time, hbar = 1).
     gamma : float
-        Local dephasing rate (inverse time).
+        Local dephasing rate (inverse time), non-negative.
     N : int
         Sites per axis; the lattice holds N**d sites.
     bc : str
@@ -55,6 +57,12 @@ class ModelParams:
     bc: str = "periodic"
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.d, self.N)):
+            raise ValueError(f"d and N must be integers, got d = {self.d!r}, N = {self.N!r}")
+        if not all(math.isfinite(v) for v in (self.alpha, self.J, self.gamma)):
+            raise ValueError(f"alpha, J, gamma must be finite, got {self.alpha}, {self.J}, {self.gamma}")
+        if self.gamma < 0:
+            raise ValueError(f"dephasing rate must be non-negative, got {self.gamma}")
         if not 1 <= self.d <= 3:
             raise ValueError(f"lattice dimension must be 1..3, got {self.d}")
         if self.N < 2:
@@ -159,19 +167,6 @@ def min_image(delta, N: int):
     return (delta + N // 2) % N - N // 2
 
 
-def displacement(j, m, params: ModelParams):
-    """Displacement vector m - j under the parameter set's bc convention."""
-    delta = np.asarray(m, dtype=int) - np.asarray(j, dtype=int)
-    if params.bc == "periodic":
-        return min_image(delta, params.N)
-    return delta
-
-
-def distance(j, m, params: ModelParams) -> float:
-    """Euclidean distance with the periodic minimum-image convention."""
-    return float(np.sqrt(np.sum(np.asarray(displacement(j, m, params), float) ** 2)))
-
-
 # -- kernels -------------------------------------------------------------------
 
 
@@ -213,18 +208,20 @@ def classical_rate(params: ModelParams, r) -> float:
 
 
 def ring_rate_row(params: ModelParams) -> np.ndarray:
-    """First row w[r], r = 0..N-1, of the periodic rate kernel (w[0] = 0).
+    """Periodic rate kernel w(r) over per-axis displacements 0..N-1 (w[0] = 0).
 
-    Built from squared integer minimum-image distances so that every solver
-    (spectral, ODE, many-body) shares bit-identical rates.
+    Shape ``params.shape``; in d = 1 this is the first row of the ring
+    generator. Built from squared integer minimum-image distances so that
+    every solver (spectral, ODE, many-body) shares bit-identical rates.
     """
     if params.bc != "periodic":
         raise ValueError("ring kernel requires periodic bc")
     N = params.N
-    r = np.arange(1, N)
-    dmin = np.minimum(r, N - r).astype(float)
-    w = np.zeros(N)
-    w[1:] = params.kappa * (dmin**2) ** (-params.alpha)
+    axis = np.minimum(np.arange(N), N - np.arange(N)).astype(float)
+    r2 = sum(g**2 for g in np.meshgrid(*([axis] * params.d), indexing="ij"))
+    w = np.zeros_like(r2)
+    nz = r2 > 0
+    w[nz] = params.kappa * r2[nz] ** (-params.alpha)
     return w
 
 

@@ -151,20 +151,23 @@ def propagate_G(
         dG = 1j * (hT @ G - G @ hT) - gamma * (G - np.diag(np.diag(G)))
         return dG.ravel().view(float)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_grid[-1])),
-        Gin.astype(complex).ravel().view(float),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise PropagationError(f"integrator failed: {sol.message}")
+    Y = Gin.astype(complex).ravel().view(float)[:, None]  # the grid [0.0] needs no integration
+    if t_grid[-1] > 0:
+        sol = solve_ivp(
+            rhs,
+            (0.0, float(t_grid[-1])),
+            Y[:, 0],
+            t_eval=t_grid,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+        )
+        if not sol.success:
+            raise PropagationError(f"integrator failed: {sol.message}")
+        Y = sol.y
     out = []
     for k, t in enumerate(t_grid):
-        G = sol.y[:, k].copy().view(complex).reshape(N, N)
+        G = Y[:, k].copy().view(complex).reshape(N, N)
         _check_G(G, trace0, float(t))
         out.append(CorrelationMatrix(float(t), G, params.bc))
     return out

@@ -1,9 +1,18 @@
-"""Self-contained special functions for the analytic layer.
+"""Special functions for the analytic layer.
 
 Provides the Riemann zeta function (s > 1), the polylogarithm on the unit
 circle Li_beta(e^{iq}), the gamma function, the -1 branch of the Lambert W
 function, and the Dawson integral at complex argument. Complex values are
 plain Python/NumPy ``complex``.
+
+Zeta and Dawson wrap ``scipy.special`` (``zeta``, ``dawsn``); the alpha = 1
+ring profile calls ``scipy.special.wofz`` directly. Three stay hand-written:
+
+* :func:`polylog_circle`: scipy has no polylogarithm.
+* ``_upper_gamma_cf``: the lattice sums need negative orders, which
+  ``scipy.special.gammaincc`` does not accept.
+* :func:`lambert_w_m1`: ``scipy.special.lambertw(y, -1)`` is NaN at
+  y = -1/e and off by 2.3e-5 relative at y = -1/e + 1e-10.
 
 Tolerances are contracts: zeta and gamma to 1e-12, polylog to 1e-10 absolute,
 Dawson to 1e-9 inside the documented stability radius. Internal targets aim
@@ -15,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special as sc
 
 __all__ = [
     "riemann_zeta",
@@ -25,59 +35,13 @@ __all__ = [
     "DAWSON_STABILITY_RADIUS",
 ]
 
-# Bernoulli numbers B_2..B_26 (even index), exact rationals evaluated in double.
-_BERN_EVEN = np.array(
-    [
-        1.0 / 6,
-        -1.0 / 30,
-        1.0 / 42,
-        -1.0 / 30,
-        5.0 / 66,
-        -691.0 / 2730,
-        7.0 / 6,
-        -3617.0 / 510,
-        43867.0 / 798,
-        -174611.0 / 330,
-        854513.0 / 138,
-        -236364091.0 / 2730,
-        8553103.0 / 6,
-    ]
-)
-
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1 by Euler-Maclaurin summation.
-
-    The correction series is truncated once the term magnitude certifies an
-    absolute error below 1e-13; for s > 55 three series terms already reach
-    full double precision.
-    """
+    """zeta(s) for s > 1 (``scipy.special.zeta``)."""
     s = float(s)
     if s <= 1:
         raise ValueError(f"zeta is summed only for s > 1, got {s}")
-    if s > 55:
-        return 1.0 + 2.0**-s + 3.0**-s
-    n = 24
-    k = np.arange(1, n, dtype=float)
-    out = float(np.sum(k**-s)) + n ** (1.0 - s) / (s - 1.0) + 0.5 * n**-s
-    poch = s
-    for i in range(1, len(_BERN_EVEN) + 1):
-        term = _BERN_EVEN[i - 1] / math.factorial(2 * i) * poch * n ** (-s - 2 * i + 1)
-        out += term
-        if abs(term) < 1e-17:
-            break
-        poch *= (s + 2 * i - 1) * (s + 2 * i)
-    return out
-
-
-def _eta(s: float) -> float:
-    """Dirichlet eta for s > 0 via iterated averaging of partial sums."""
-    k = np.arange(1, 60, dtype=float)
-    partial = np.cumsum((-1.0) ** (k + 1) * k**-s)
-    row = partial[-30:]
-    for _ in range(29):
-        row = 0.5 * (row[:-1] + row[1:])
-    return float(row[0])
+    return float(sc.zeta(s))
 
 
 def _zeta_any(s: float) -> float:
@@ -87,18 +51,9 @@ def _zeta_any(s: float) -> float:
     below 1 are needed only inside the small-q polylog expansion.
     """
     s = float(s)
-    if s > 1:
-        return riemann_zeta(s)
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
-    if s == 0:
-        return -0.5
-    if s > 0:
-        return _eta(s) / (1.0 - 2.0 ** (1.0 - s))
-    # reflection into the convergent half-plane
-    return (
-        2.0**s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0) * gamma_fn(1.0 - s) * _zeta_any(1.0 - s)
-    )
+    return float(sc.zeta(s))
 
 
 def gamma_fn(x: float) -> float:
@@ -238,41 +193,6 @@ def lambert_w_m1(y: float) -> float:
 DAWSON_STABILITY_RADIUS = 25.0
 
 
-def _weideman_coeffs(n: int = 64):
-    m = 2 * n
-    k = np.arange(-m + 1, m)
-    L = math.sqrt(n / math.sqrt(2.0))
-    t = L * np.tan(k * math.pi / (2 * m))
-    f = np.exp(-t * t) * (L * L + t * t)
-    f = np.concatenate(([0.0], f))
-    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
-    return L, a[1 : n + 1][::-1]
-
-
-_WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs()
-
-
-def _faddeeva_upper(z):
-    """w(z) = e^{-z^2} erfc(-iz) for Im z >= 0 (rational approximation)."""
-    z = np.asarray(z, dtype=complex)
-    iz = 1j * z
-    Z = (_WEIDEMAN_L + iz) / (_WEIDEMAN_L - iz)
-    p = np.polyval(_WEIDEMAN_A, Z)
-    return 2.0 * p / (_WEIDEMAN_L - iz) ** 2 + (1.0 / math.sqrt(math.pi)) / (_WEIDEMAN_L - iz)
-
-
-def _dawson_taylor(z: complex) -> complex:
-    term = z
-    total = z
-    zz = z * z
-    for n in range(1, 200):
-        term *= -2.0 * zz / (2 * n + 1)
-        total += term
-        if abs(term) <= 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
 def dawson(z) -> complex:
     """Dawson integral D(z) = e^{-z^2} int_0^z e^{u^2} du.
 
@@ -286,19 +206,7 @@ def dawson(z) -> complex:
             f"|z| = {abs(z):.3g} outside the Dawson stability radius "
             f"{DAWSON_STABILITY_RADIUS}; use the asymptotic form"
         )
-    sign = 1.0
-    if z.real < 0:
-        z, sign = -z, -sign
-    conj = False
-    if z.imag < 0:
-        z, conj = z.conjugate(), True
-    if abs(z) <= 3.0:
-        out = _dawson_taylor(z)
-    else:
-        out = complex(0.5j * math.sqrt(math.pi) * (np.exp(-z * z) - _faddeeva_upper(z)))
-    if conj:
-        out = out.conjugate()
-    return sign * out
+    return complex(sc.dawsn(z))
 
 
 # -- incomplete gamma (internal; used by the lattice sums) ----------------------

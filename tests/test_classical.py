@@ -70,6 +70,15 @@ class TestIntegrate:
         assert prof.values[0, 0] < 1.0
         assert np.all(prof.values >= -1e-12)
 
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    def test_grid_of_only_t0_returns_initial_profile(self, bc):
+        p = mp(2.0, N=11, bc=bc)
+        start = delta_profile(p, 5)
+        (prof,) = cme_integrate(start, p, [0.0])
+        assert prof.t == 0.0 and prof.origin == (5,)
+        np.testing.assert_array_equal(prof.values, start.values)
+        assert prof.values is not start.values
+
     def test_bad_time_grid(self):
         p = mp(2.0, N=16)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ class TestRun:
         summary = (tmp_path / "spectrum_summary.txt").read_text()
         assert "perturbative_min_re" in summary
 
+    def test_spectrum_skips_degenerate_perturbative_blocks(self, tmp_path):
+        # at N = 301 two blocks have near-degenerate levels; the exact
+        # spectrum stays complete and the perturbative minimum skips them
+        from levyexciton import quantum
+
+        p = ModelParams(d=1, alpha=2.0, J=1.0, gamma=0.1, N=301, bc="periodic")
+        with pytest.raises(quantum.DegenerateSpectrumError):
+            quantum.perturbative_spectrum(129, p, order=2)
+        run(ExperimentConfig("spectrum", p, RunOptions(out_dir=str(tmp_path), n_list=[301])))
+        rows = (tmp_path / "spectrum_N301.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 301 * 301
+        summary = dict(
+            line.split(" = ") for line in (tmp_path / "spectrum_summary.txt").read_text().splitlines()
+        )
+        assert 0.0 < float(summary["perturbative_min_re"]) < math.inf
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path):
@@ -198,6 +215,21 @@ class TestMain:
         )
         cfg = write_config(tmp_path, text=text)
         assert main(["--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gamma", "nan"], ["--gamma", "0"], ["--gamma", "-1"], ["--alpha", "inf"], ["--alpha", "-1"]],
+    )
+    def test_bad_parameter_overrides_exit_2(self, tmp_path, flags, capsys):
+        assert main(["--preset", "fig1b", "--out", str(tmp_path), *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("line", ["gamma = nan", "gamma = 0", "gamma = -2.0", "J = inf", "N = 2.5"])
+    def test_bad_parameter_in_config_exit_2(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(line if row.startswith(key + " = ") else row for row in CONFIG_TEXT.splitlines())
+        assert main(["--config", str(write_config(tmp_path, text=text + "\n"))]) == 2
 
     def test_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -23,7 +23,7 @@ class TestParams:
         assert ring(J=1.0, gamma=10.0).kappa == pytest.approx(0.2, abs=1e-15)
 
     def test_kappa_requires_positive_gamma(self):
-        p = ModelParams(d=1, alpha=2.0, J=1.0, gamma=-1.0, N=8)
+        p = ModelParams(d=1, alpha=2.0, J=1.0, gamma=0.0, N=8)
         with pytest.raises(ValueError):
             p.kappa
 
@@ -33,12 +33,32 @@ class TestParams:
             p.require_thermodynamic()
         ModelParams(d=2, alpha=1.01, J=1.0, gamma=1.0, N=8).require_thermodynamic()
 
-    @pytest.mark.parametrize("field,value", [("d", 0), ("d", 4), ("N", 1), ("bc", "twisted"), ("alpha", -1.0)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d", 0),
+            ("d", 4),
+            ("N", 1),
+            ("bc", "twisted"),
+            ("alpha", -1.0),
+            ("alpha", float("nan")),
+            ("J", float("inf")),
+            ("gamma", float("nan")),
+            ("gamma", float("inf")),
+            ("gamma", -1.0),
+            ("N", 2.5),
+            ("d", 1.5),
+        ],
+    )
     def test_validation(self, field, value):
         kw = dict(d=1, alpha=2.0, J=1.0, gamma=1.0, N=8, bc="periodic")
         kw[field] = value
         with pytest.raises(ValueError):
             ModelParams(**kw)
+
+    def test_zero_dephasing_and_numpy_integers_are_legal(self):
+        p = ModelParams(d=np.int64(1), alpha=2.0, J=1.0, gamma=0.0, N=np.int64(9))
+        assert p.n_sites == 9
 
     def test_config_round_trip(self):
         p = ModelParams(d=2, alpha=1.75, J=0.5, gamma=3.0, N=64, bc="open")

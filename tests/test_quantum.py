@@ -420,6 +420,14 @@ class TestPropagatorParity:
         with pytest.raises(ValueError, match="strictly increasing and non-negative"):
             propagate(initial_g_delta(p), p, grid)
 
+    @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
+    def test_grid_of_only_t0_returns_initial_state(self, propagate):
+        p = ring(2.0, 11)
+        G0 = initial_g_delta(p)
+        (state,) = propagate(G0, p, [0.0])
+        assert state.t == 0.0
+        assert np.max(np.abs(state.G - G0.G)) < 1e-12
+
     def test_scalar_negative_time_refused(self):
         p = ring(2.0, 11)
         with pytest.raises(ValueError, match="strictly increasing and non-negative"):

@@ -206,6 +206,16 @@ class TestLambertWm1:
         assert w <= -1.0
         assert abs(w * math.exp(w) - y) <= 1e-12
 
+    @pytest.mark.parametrize("eps,rel", [(1e-16, 1e-8), (1e-12, 1e-10), (1e-10, 1e-10)])
+    def test_near_branch_point_vs_mpmath_oracle(self, eps, rel):
+        # w e^w is flat at w = -1, so the round trip cannot see an error here;
+        # scipy's lambertw(y, -1) is off by 2.3e-5 relative at eps = 1e-10
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        y = -1.0 / math.e + eps
+        ref = float(mpmath.lambertw(mpmath.mpf(y), -1).real)
+        assert lambert_w_m1(y) == pytest.approx(ref, rel=rel)
+
     def test_monotone_decreasing(self):
         # W_-1 runs from -1 down to -inf as y increases toward 0-
         ys = np.linspace(-1 / math.e + 1e-6, -1e-8, 50)
