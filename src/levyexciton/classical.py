@@ -251,19 +251,3 @@ def axis_profile(profile: DensityProfile, axis: int = 0):
     sl = tuple(slice(None) if ax == axis else idx[ax] for ax in range(profile.values.ndim))
     values = profile.values[sl]
     return DensityProfile(profile.t, values, profile.bc, origin=(profile.origin[axis],))
-
-
-def trajectory_to_csv(profiles: list[DensityProfile], path):
-    """CSV export: one row per site per output time, columns t, j1..jd, n."""
-    d = profiles[0].values.ndim
-    header = "t," + ",".join(f"j{k + 1}" for k in range(d)) + ",n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for prof in profiles:
-            coords = prof.coordinates()
-            grids = np.meshgrid(*coords, indexing="ij")
-            flat = [g.ravel() for g in grids]
-            vals = prof.values.ravel()
-            for row in range(vals.size):
-                js = ",".join("%d" % int(f[row]) for f in flat)
-                fh.write("%.16e,%s,%.16e\n" % (prof.t, js, vals[row]))

@@ -7,7 +7,9 @@ artifacts plus ``manifest.json`` listing each artifact with a content hash.
 Outputs are deterministic given the config (including the seed); timestamps
 live only in the manifest. No plotting: figures are produced externally.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error.
+Exit codes: 0 success; 2 configuration error (unknown or unparseable keys,
+invalid model parameters, output times that are empty, repeated, negative or
+NaN), with no manifest written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, classical, manybody, quantum
-from .model import ModelParams, sum_r2_hopping_sq
+from .model import ModelParams, output_times, sum_r2_hopping_sq, write_csv
 
 EXPERIMENT_KINDS = (
     "quantum-variance",
@@ -38,29 +41,9 @@ EXPERIMENT_KINDS = (
 
 SCHEMA_VERSION = "1"
 
-_RUN_KEYS = (
-    "times",
-    "t_max",
-    "n_times",
-    "trajectories",
-    "seed",
-    "out",
-    "n_list",
-    "fit_j_min",
-    "fit_j_max",
-    "normalize",
-    "excitation",
-    "method",
-    "tag",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
-
-
-class SolverRunError(RuntimeError):
-    """A solver failed while executing the experiment."""
 
 
 @dataclass
@@ -107,12 +90,30 @@ class ExperimentConfig:
 # -- config file parsing ---------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _list_of(cast):
+    return lambda text: [cast(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _flag(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# [run] config key -> (RunOptions field, parser of the raw value)
+_RUN_KEYS = {
+    "times": ("times", _list_of(float)),
+    "t_max": ("t_max", float),
+    "n_times": ("n_times", int),
+    "trajectories": ("trajectories", int),
+    "seed": ("seed", int),
+    "out": ("out_dir", str),
+    "n_list": ("n_list", _list_of(int)),
+    "fit_j_min": ("fit_j_min", int),
+    "fit_j_max": ("fit_j_max", int),
+    "normalize": ("normalize", _flag),
+    "excitation": ("excitation", str.strip),
+    "method": ("method", str.strip),
+    "tag": ("tag", str.strip),
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -144,32 +145,12 @@ def load_config(path) -> ExperimentConfig:
         unknown = set(block) - set(_RUN_KEYS)
         if unknown:
             raise ConfigError(f"unknown run keys: {sorted(unknown)}")
-        if "times" in block:
-            run.times = _parse_float_list(block["times"])
-        if "t_max" in block:
-            run.t_max = float(block["t_max"])
-        if "n_times" in block:
-            run.n_times = int(block["n_times"])
-        if "trajectories" in block:
-            run.trajectories = int(block["trajectories"])
-        if "seed" in block:
-            run.seed = int(block["seed"])
-        if "out" in block:
-            run.out_dir = block["out"]
-        if "n_list" in block:
-            run.n_list = _parse_int_list(block["n_list"])
-        if "fit_j_min" in block:
-            run.fit_j_min = int(block["fit_j_min"])
-        if "fit_j_max" in block:
-            run.fit_j_max = int(block["fit_j_max"])
-        if "normalize" in block:
-            run.normalize = block["normalize"].strip().lower() in ("1", "true", "yes", "on")
-        if "excitation" in block:
-            run.excitation = block["excitation"].strip()
-        if "method" in block:
-            run.method = block["method"].strip()
-        if "tag" in block:
-            run.tag = block["tag"].strip()
+        for key, text in block.items():
+            name, parse = _RUN_KEYS[key]
+            try:
+                setattr(run, name, parse(text))
+            except ValueError as exc:
+                raise ConfigError(f"run key {key}: {exc}") from exc
     return ExperimentConfig(kind=kind, model=model, run=run)
 
 
@@ -180,31 +161,31 @@ def _fmt(x: float) -> str:
     return "%.16e" % x
 
 
-def _write_csv(path: Path, header: str, rows) -> Path:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return path
-
-
-def _artifact_name(base: str, tag: str) -> str:
-    if not tag:
-        return base
-    stem, dot, ext = base.partition(".")
-    return f"{stem}_{tag}{dot}{ext}"
-
-
 class _Collector:
-    """Accumulates artifact paths and renders the manifest."""
+    """Writes every artifact of a run into ``out_dir`` and renders the manifest.
+
+    An artifact is named ``base`` with ``_tag`` inserted before its extension
+    when the run has a tag.
+    """
 
     def __init__(self, out_dir: Path, config_echo: dict):
         self.out_dir = out_dir
         self.echo = config_echo
         self.paths: list[Path] = []
 
-    def add(self, path: Path):
+    def _register(self, base: str, tag: str) -> Path:
+        if tag:
+            stem, dot, ext = base.partition(".")
+            base = f"{stem}_{tag}{dot}{ext}"
+        path = self.out_dir / base
         self.paths.append(path)
+        return path
+
+    def csv(self, base: str, tag: str, header: str, rows):
+        write_csv(self._register(base, tag), header, rows)
+
+    def text(self, base: str, tag: str, lines):
+        self._register(base, tag).write_text("\n".join(lines) + "\n")
 
     def write_manifest(self) -> Path:
         entries = []
@@ -224,18 +205,24 @@ class _Collector:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    run = {k: getattr(config.run, k if k != "out" else "out_dir") for k in _RUN_KEYS}
+    run = {key: getattr(config.run, name) for key, (name, _) in _RUN_KEYS.items()}
     return {"kind": config.kind, "model": config.model.to_config(), "run": run}
 
 
-def _time_grid(run: RunOptions, default_t_max: float) -> np.ndarray:
-    if run.times is not None:
-        ts = np.asarray(run.times, dtype=float)
-        if ts.size == 0 or np.any(ts < 0):
-            raise ConfigError("times must be non-negative and non-empty")
-        return np.sort(ts)
-    t_max = run.t_max if run.t_max is not None else default_t_max
-    return np.linspace(0.0, t_max, run.n_times)
+def _time_grid(run: RunOptions, default_t_max: float | None = None) -> np.ndarray:
+    """The run's output times: the sorted ``times``, else ``n_times`` points to t_max.
+
+    Without ``default_t_max`` the kind requires explicit ``times``.
+    """
+    if run.times is None and default_t_max is None:
+        raise ConfigError("this experiment kind requires explicit output times")
+    try:
+        if run.times is not None:
+            return output_times(np.sort(np.asarray(run.times, dtype=float)))
+        t_max = run.t_max if run.t_max is not None else default_t_max
+        return output_times(np.linspace(0.0, t_max, run.n_times))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- experiment implementations ------------------------------------------------------
@@ -266,11 +253,9 @@ def _run_quantum_variance(config: ExperimentConfig, col: _Collector):
                 for t, v, c, cl in zip(ts, var_q, var_cf, classical_line)
             )
 
-        name = _artifact_name(f"variance_N{N}.csv", run.tag)
-        col.add(_write_csv(col.out_dir / name, "t,qme,eq3,classical", rows()))
+        col.csv(f"variance_N{N}.csv", run.tag, "t,qme,eq3,classical", rows())
         if N == primary:
-            name = _artifact_name("variance.csv", run.tag)
-            col.add(_write_csv(col.out_dir / name, "t,qme,eq3,classical", rows()))
+            col.csv("variance.csv", run.tag, "t,qme,eq3,classical", rows())
 
 
 def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.DensityProfile]:
@@ -298,38 +283,45 @@ def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.Densit
 
 def _run_classical_profile(config: ExperimentConfig, col: _Collector):
     run = config.run
-    if run.times is None:
-        raise ConfigError("classical-profile requires explicit output times")
-    ts = np.sort(np.asarray(run.times, dtype=float))
-    profs = _classical_trajectory(config, ts)
-    name = _artifact_name("profile.csv", run.tag)
-    path = col.out_dir / name
-    classical.trajectory_to_csv(profs, path)
-    col.add(path)
-    if run.fit_j_min is not None and run.fit_j_max is not None:
-        rows = []
+    profs = _classical_trajectory(config, _time_grid(run))
+
+    def rows():
+        # one row per site per output time: t, j1..jd, n. Every profile of the
+        # trajectory shares one lattice and origin, and product() visits the
+        # sites in the C order of values.
+        axes = [[str(j) for j in c.astype(int).tolist()] for c in profs[0].coordinates()]
         for prof in profs:
-            if prof.t <= 0:
-                continue
-            cut = prof if prof.values.ndim == 1 else classical.axis_profile(prof, axis=0)
-            expo, amp = classical.tail_fit(cut, (run.fit_j_min, run.fit_j_max))
-            rows.append((_fmt(prof.t), _fmt(expo), _fmt(amp)))
-        name = _artifact_name("tail_fits.csv", run.tag)
-        col.add(_write_csv(col.out_dir / name, "t,exponent,amplitude", rows))
+            t = _fmt(prof.t)
+            for js, n in zip(itertools.product(*axes), prof.values.flat):
+                yield (t, *js, _fmt(n))
+
+    header = "t," + ",".join(f"j{k + 1}" for k in range(config.model.d)) + ",n"
+    col.csv("profile.csv", run.tag, header, rows())
+    if run.fit_j_min is not None and run.fit_j_max is not None:
+
+        def fits():
+            for prof in profs:
+                if prof.t <= 0:
+                    continue
+                cut = prof if prof.values.ndim == 1 else classical.axis_profile(prof, axis=0)
+                expo, amp = classical.tail_fit(cut, (run.fit_j_min, run.fit_j_max))
+                yield _fmt(prof.t), _fmt(expo), _fmt(amp)
+
+        col.csv("tail_fits.csv", run.tag, "t,exponent,amplitude", fits())
 
 
 def _run_classical_moments(config: ExperimentConfig, col: _Collector):
     p = config.model
     ts = _time_grid(config.run, default_t_max=5.0 / p.kappa)
     profs = _classical_trajectory(config, ts)
-    rows = []
-    for prof in profs:
-        mean, var = classical.moments(prof)
-        fields = [_fmt(prof.t)] + [_fmt(m) for m in mean] + [_fmt(var)]
-        rows.append(tuple(fields))
+
+    def rows():
+        for prof in profs:
+            mean, var = classical.moments(prof)
+            yield (_fmt(prof.t), *map(_fmt, mean), _fmt(var))
+
     header = "t," + ",".join(f"mean{k + 1}" for k in range(p.d)) + ",variance"
-    name = _artifact_name("moments.csv", config.run.tag)
-    col.add(_write_csv(col.out_dir / name, header, rows))
+    col.csv("moments.csv", config.run.tag, header, rows())
 
 
 def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
@@ -356,49 +348,39 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
     run = config.run
     if p.bc != "open" or p.d != 1:
         raise ConfigError("manybody-relax requires d = 1 open bc")
+    times = _time_grid(run) if run.times is not None else None
     sizes = run.n_list or [p.N]
     series = []
     for N in sizes:
         pn = replace(p, N=N)
-        ts = (
-            np.sort(np.asarray(run.times, dtype=float))
-            if run.times is not None and run.n_list is None
-            else _relax_time_grid(pn, N)
-        )
+        ts = times if times is not None and run.n_list is None else _relax_time_grid(pn, N)
         traj = manybody.occupation_evolution(pn, ts)
         chi = manybody.chi_squared_series(traj)
         series.append((ts, chi))
         rows = ((_fmt(t), _fmt(c)) for t, c in zip(ts, chi))
-        name = _artifact_name(f"chi_N{N}.csv", run.tag)
-        col.add(_write_csv(col.out_dir / name, "t,chi2_over_N", rows))
+        col.csv(f"chi_N{N}.csv", run.tag, "t,chi2_over_N", rows)
     # occupation profile for the configured N at the requested times
-    ts_occ = (
-        np.sort(np.asarray(run.times, dtype=float))
-        if run.times is not None
-        else series[-1][0][:: max(1, len(series[-1][0]) // 8)]
-    )
+    ts_occ = times if times is not None else series[-1][0][:: max(1, len(series[-1][0]) // 8)]
     traj = manybody.occupation_evolution(p, ts_occ)
-    labels = manybody.site_labels(p.N)
+    labels = [str(j) for j in manybody.site_labels(p.N)]
     rows = (
-        (_fmt(t), str(labels[j]), _fmt(traj[ti, j]))
-        for ti, t in enumerate(ts_occ)
-        for j in range(p.N)
+        (t, j, _fmt(n))
+        for t, occ in zip(map(_fmt, ts_occ), traj)
+        for j, n in zip(labels, occ.tolist())
     )
-    name = _artifact_name("occupation.csv", run.tag)
-    col.add(_write_csv(col.out_dir / name, "t,j,n", rows))
+    col.csv("occupation.csv", run.tag, "t,j,n", rows)
     if len(sizes) >= 4:
         fit = manybody.relaxation_fit(series, sizes, p.alpha)
-        name = _artifact_name("relaxation.txt", run.tag)
-        path = col.out_dir / name
-        path.write_text(manybody.relaxation_summary(fit, p.alpha))
-        col.add(path)
+        col.text("relaxation.txt", run.tag, manybody.relaxation_summary(fit, p.alpha).splitlines())
     if run.trajectories > 0:
         config0 = manybody.domain_wall_config(p.N)
         ens = manybody.kmc_simulate(config0, p, ts_occ, run.trajectories, run.seed)
-        name = _artifact_name("kmc.csv", run.tag)
-        path = col.out_dir / name
-        manybody.ensemble_to_csv(ens, path)
-        col.add(path)
+        rows = (
+            (t, j, _fmt(m), _fmt(e))
+            for t, mean, err in zip(map(_fmt, ens.times), ens.mean, ens.stderr)
+            for j, m, e in zip(labels, mean.tolist(), err.tolist())
+        )
+        col.csv("kmc.csv", run.tag, "t,j,n_mean,n_stderr", rows)
         lin = manybody.occupation_evolution(p, ts_occ)
         # each trajectory's occupation is Bernoulli(lin) by duality, so the
         # mean's stderr is sqrt(lin (1 - lin) / n); where lin is exactly 0 or
@@ -407,13 +389,14 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
         gap = np.abs(ens.mean - lin)
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(stderr > 0, gap / stderr, np.where(gap == 0, 0.0, np.inf))
-        name = _artifact_name("duality_check.txt", run.tag)
-        path = col.out_dir / name
-        path.write_text(
-            "max_abs_deviation = %.16e\nmax_deviation_over_stderr = %.16e\n"
-            % (float(np.max(gap)), float(np.max(dev)))
+        col.text(
+            "duality_check.txt",
+            run.tag,
+            [
+                "max_abs_deviation = " + _fmt(float(np.max(gap))),
+                "max_deviation_over_stderr = " + _fmt(float(np.max(dev))),
+            ],
         )
-        col.add(path)
 
 
 def _run_spectrum(config: ExperimentConfig, col: _Collector):
@@ -426,10 +409,8 @@ def _run_spectrum(config: ExperimentConfig, col: _Collector):
         summary = quantum.slow_modes(pn, keep_sets=True)
         gaps_r.append(summary.real_gap)
         gaps_c.append(summary.complex_gap)
-        name = _artifact_name(f"spectrum_N{N}.csv", run.tag)
-        path = col.out_dir / name
-        quantum.spectra_to_csv(summary.sets, path)
-        col.add(path)
+        rows = quantum.spectrum_rows(summary.sets)
+        col.csv(f"spectrum_N{N}.csv", run.tag, quantum.SPECTRUM_CSV_HEADER, rows)
         # real parts at the retained perturbative order (first-order shift);
         # blocks with near-degenerate levels have no perturbative series
         pmin = math.inf
@@ -449,10 +430,7 @@ def _run_spectrum(config: ExperimentConfig, col: _Collector):
     if len(sizes) >= 2:
         slope = float(np.polyfit(np.log(sizes), np.log(gaps_r), 1)[0])
         lines.append("real_branch_exponent = " + _fmt(slope))
-    name = _artifact_name("spectrum_summary.txt", run.tag)
-    path = col.out_dir / name
-    path.write_text("\n".join(lines) + "\n")
-    col.add(path)
+    col.text("spectrum_summary.txt", run.tag, lines)
 
 
 def _run_analytic_report(config: ExperimentConfig, col: _Collector):
@@ -487,18 +465,8 @@ def _run_analytic_report(config: ExperimentConfig, col: _Collector):
             else:
                 c_txt = f"{co.C_alpha / pd.kappa:.6f}" if co.C_alpha is not None else "log-modified"
                 report.append(f"  alpha = {alpha}: levy regime, C/kappa = {c_txt}")
-    name = _artifact_name("coefficients.csv", config.run.tag)
-    col.add(
-        _write_csv(
-            col.out_dir / name,
-            "d,alpha,alpha_cr,regime,D_alpha,C_alpha",
-            rows,
-        )
-    )
-    name = _artifact_name("report.txt", config.run.tag)
-    path = col.out_dir / name
-    path.write_text("\n".join(report) + "\n")
-    col.add(path)
+    col.csv("coefficients.csv", config.run.tag, "d,alpha,alpha_cr,regime,D_alpha,C_alpha", rows)
+    col.text("report.txt", config.run.tag, report)
 
 
 _DISPATCH = {

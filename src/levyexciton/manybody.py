@@ -274,12 +274,6 @@ def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.
     return out
 
 
-def particle_hole_symmetry_check(trajectory: np.ndarray, tol: float = 1e-8) -> bool:
-    """n_j(t) + n_{-1-j}(t) = 1 for the domain-wall initial condition."""
-    worst, _, _ = particle_hole_asymmetry(trajectory)
-    return worst <= tol
-
-
 def particle_hole_asymmetry(trajectory: np.ndarray):
     """Worst violation of n_j + n_{-1-j} = 1 -> (value, site label, time index)."""
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
@@ -405,20 +399,6 @@ def fractional_reference(x, t: float, params: ModelParams, beta: float, b: float
 
 
 # -- exports ------------------------------------------------------------------------------
-
-
-def ensemble_to_csv(result: EnsembleResult, path):
-    """CSV export with columns t, j, n_mean, n_stderr (physical site labels)."""
-    N = result.mean.shape[1]
-    labels = site_labels(N)
-    with open(path, "w") as fh:
-        fh.write("t,j,n_mean,n_stderr\n")
-        for ti, t in enumerate(result.times):
-            for si in range(N):
-                fh.write(
-                    "%.16e,%d,%.16e,%.16e\n"
-                    % (t, labels[si], result.mean[ti, si], result.stderr[ti, si])
-                )
 
 
 def relaxation_summary(fit: RelaxationFit, alpha: float) -> str:

@@ -14,6 +14,9 @@ fixed in one place:
   amplitude* additionally sums the two ring images,
   h(r) = J [ r^-alpha + (N-r)^-alpha ].
 * open bc: plain Euclidean distance.
+
+The grid check every propagator applies to its output times
+(:func:`output_times`) and the one CSV writer (:func:`write_csv`) live here too.
 """
 
 from __future__ import annotations
@@ -135,6 +138,14 @@ def output_times(t) -> np.ndarray:
     if grid.size == 0 or not (np.all(np.diff(grid) > 0) and grid[0] >= 0):
         raise ValueError("output times must be strictly increasing and non-negative")
     return grid
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Stream a CSV file: the header line, then one line per row of string fields."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 # -- lattice indexing ---------------------------------------------------------

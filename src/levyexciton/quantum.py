@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, min_image, output_times, sum_r2_hopping_sq
+from .model import ModelParams, min_image, output_times, sum_r2_hopping_sq, write_csv
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -303,22 +303,6 @@ def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> 
     # each factor 1/(i dx) contributes -i/dx, product = -(1/dx_p)(1/dx_s)
     d3 = -(s1**2 - s2) / N**3
     return E + gamma**3 * d3
-
-
-def perturbed_eigenvectors(q_index: int, params: ModelParams) -> np.ndarray:
-    """Plane waves with the first-order dephasing correction (columns)."""
-    E0 = unperturbed_spectrum(q_index, params)
-    N = params.N
-    gamma = params.gamma
-    x = E0.imag
-    dx = x[:, None] - x[None, :]
-    off = ~np.eye(N, dtype=bool)
-    if np.min(np.abs(dx[off])) < DEGENERACY_GAP:
-        raise DegenerateSpectrumError(f"near-degenerate block at q index {q_index}")
-    # coeff[p, k] = 1/(E0_k - E0_p), zero on the diagonal
-    denom = 1j * np.where(off, -dx, 1.0)
-    coeff = np.where(off, 1.0 / denom, 0.0)
-    return _to_sites(np.eye(N) - (gamma / N) * coeff)
 
 
 @dataclass
@@ -612,11 +596,16 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_lim
     return out
 
 
+SPECTRUM_CSV_HEADER = "q_index,k_index,re_E,im_E,branch"
+
+
+def spectrum_rows(sets: list[SpectralSet]):
+    """CSV rows under :data:`SPECTRUM_CSV_HEADER`, one per eigenvalue."""
+    for s in sets:
+        for k, E in enumerate(s.eigenvalues):
+            yield str(s.q_index), str(k), "%.16e" % E.real, "%.16e" % E.imag, s.branch[k]
+
+
 def spectra_to_csv(sets: list[SpectralSet], path):
     """CSV export with columns q_index, k_index, re_E, im_E, branch."""
-    with open(path, "w") as fh:
-        fh.write("q_index,k_index,re_E,im_E,branch\n")
-        for s in sets:
-            for k in range(s.eigenvalues.size):
-                E = s.eigenvalues[k]
-                fh.write(f"{s.q_index},{k},%.16e,%.16e,{s.branch[k]}\n" % (E.real, E.imag))
+    write_csv(path, SPECTRUM_CSV_HEADER, spectrum_rows(sets))

@@ -14,7 +14,6 @@ from levyexciton.classical import (
     fit_power_law,
     moments,
     tail_fit,
-    trajectory_to_csv,
 )
 from levyexciton.model import ModelParams
 from levyexciton.special import riemann_zeta
@@ -254,19 +253,6 @@ class TestTailFit:
 
 
 class TestCsv:
-    def test_round_trip(self, tmp_path):
-        p = mp(1.5, N=16)
-        profs = [cme_spectral_solve(p, t) for t in (0.5, 1.5)]
-        path = tmp_path / "profile.csv"
-        trajectory_to_csv(profs, path)
-        raw = path.read_text().strip().splitlines()
-        assert raw[0] == "t,j1,n"
-        assert len(raw) == 1 + 2 * 16
-        # loss-free float round trip at 17 significant digits
-        t0, j0, n0 = raw[1].split(",")
-        assert float(t0) == profs[0].t
-        assert float(n0) == profs[0].values[0]
-
     def test_d2_axis_cut(self):
         p = mp(1.5, N=12, bc="open", d=2)
         prof = cme_integrate(delta_profile(p, 0), p, [0.2 / p.kappa])[0]

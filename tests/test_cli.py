@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyexciton.classical import cme_spectral_solve
 from levyexciton.cli import (
     ConfigError,
     ExperimentConfig,
@@ -70,6 +74,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown experiment kind"):
             load_config(write_config(tmp_path, text=bad))
 
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert cfg.kind == "classical-profile"
+        assert cfg.model.N == 1000
+        assert cfg.run.times == [5.0, 15.0]
+        assert (cfg.run.fit_j_min, cfg.run.fit_j_max) == (20, 250)
+
 
 class TestRun:
     def test_classical_profile_artifacts(self, tmp_path):
@@ -85,6 +99,24 @@ class TestRun:
             assert entry["schema_version"] == "1"
             assert len(entry["sha256"]) == 64
         assert manifest["config"]["model"]["N"] == "128"
+        echo = manifest["config"]["run"]
+        assert set(echo) == {
+            "times", "t_max", "n_times", "trajectories", "seed", "out", "n_list",
+            "fit_j_min", "fit_j_max", "normalize", "excitation", "method", "tag",
+        }
+        assert echo["out"] == str(tmp_path / "out")
+        assert echo["times"] == [2.5, 5.0] and echo["n_times"] == 101
+
+    def test_profile_csv_round_trip(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        run(cfg)
+        raw = (tmp_path / "out" / "profile.csv").read_text().strip().splitlines()
+        assert raw[0] == "t,j1,n"
+        assert len(raw) == 1 + 2 * 128
+        # loss-free float round trip at 17 significant digits
+        t0, _, n0 = raw[1].split(",")
+        assert float(t0) == 2.5
+        assert float(n0) == cme_spectral_solve(cfg.model, 2.5).values[0]
 
     def test_profile_csv_parses_and_conserves(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -200,6 +232,50 @@ class TestRun:
         assert 0.0 < float(summary["perturbative_min_re"]) < math.inf
 
 
+# one tiny run per experiment kind; the tags check the artifact naming
+TINY_RUNS = {
+    "quantum-variance": (
+        ModelParams(d=1, alpha=3.0, J=1.0, gamma=10.0, N=9, bc="open"),
+        RunOptions(t_max=0.5, n_times=4, n_list=[7, 9], tag="q"),
+    ),
+    "classical-profile": (
+        ModelParams(d=2, alpha=1.5, J=1.0, gamma=10.0, N=8, bc="open"),
+        RunOptions(times=[0.0, 0.5], excitation="edge", fit_j_min=1, fit_j_max=7),
+    ),
+    "classical-moments": (
+        ModelParams(d=1, alpha=2.0, J=1.0, gamma=10.0, N=32),
+        RunOptions(t_max=1.0, n_times=4),
+    ),
+    "manybody-relax": (
+        ModelParams(d=1, alpha=2.0, J=1.0, gamma=2.0, N=10, bc="open"),
+        RunOptions(times=[0.3], n_list=[8, 10, 12, 14], trajectories=20, seed=3, tag="m"),
+    ),
+    "spectrum": (
+        ModelParams(d=1, alpha=2.0, J=1.0, gamma=0.1, N=7),
+        RunOptions(n_list=[5, 7]),
+    ),
+    "analytic-report": (
+        ModelParams(d=1, alpha=2.0, J=1.0, gamma=10.0, N=64),
+        RunOptions(tag="r"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_RUNS))
+def test_manifest_lists_exactly_the_written_files(tmp_path, kind):
+    model, opts = TINY_RUNS[kind]
+    opts = replace(opts, out_dir=str(tmp_path))
+    manifest = json.loads(run(ExperimentConfig(kind, model, opts)).read_text())
+    listed = {e["name"]: e["sha256"] for e in manifest["artifacts"]}
+    on_disk = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert set(listed) == on_disk
+    assert len(listed) == len(manifest["artifacts"])
+    for name, digest in listed.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    if opts.tag:
+        assert all(name.partition(".")[0].endswith("_" + opts.tag) for name in listed)
+
+
 class TestMain:
     def test_exit_codes(self, tmp_path):
         assert main(["--list-presets"]) == 0
@@ -230,6 +306,27 @@ class TestMain:
         key = line.split(" = ")[0]
         text = "\n".join(line if row.startswith(key + " = ") else row for row in CONFIG_TEXT.splitlines())
         assert main(["--config", str(write_config(tmp_path, text=text + "\n"))]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, run_line",
+        [
+            ("classical-profile", "times = -1.0, 2.0"),
+            ("classical-profile", "times = 1.0, 1.0"),
+            ("classical-moments", "times = nan"),
+            ("classical-moments", "n_times = 0"),
+            ("classical-moments", "t_max = -1"),
+            ("classical-moments", "n_times = abc"),
+        ],
+    )
+    def test_bad_run_values_exit_2(self, tmp_path, kind, run_line, capsys):
+        text = (
+            CONFIG_TEXT.replace("classical-profile", kind)
+            .replace("times = 2.5, 5.0", run_line)
+            .replace("N = 128\nbc = periodic", "N = 64\nbc = open")
+        )
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -18,7 +18,6 @@ from levyexciton.quantum import (
     initial_g_delta,
     momentum,
     perturbative_spectrum,
-    perturbed_eigenvectors,
     propagate_G,
     slow_modes,
     solve_dephasing_block,
@@ -204,17 +203,6 @@ class TestPerturbativeSpectrum:
         p = ModelParams(d=1, alpha=3.0, J=1e-10, gamma=0.1, N=11, bc="periodic")
         with pytest.raises(DegenerateSpectrumError):
             perturbative_spectrum(3, p)
-
-    def test_eigenvector_correction_shape(self):
-        p = ring(2.0, 9)
-        V = perturbed_eigenvectors(2, p)
-        assert V.shape == (9, 9)
-        # at gamma -> 0 the columns are the plane waves
-        p0 = ModelParams(d=1, alpha=2.0, J=1.0, gamma=0.0, N=9, bc="periodic")
-        V0 = perturbed_eigenvectors(2, p0)
-        m = np.arange(9)
-        ref = np.exp(1j * 2 * np.pi * np.outer(m, m) / 9) / 3.0
-        np.testing.assert_allclose(V0, ref, atol=1e-14)
 
 
 class TestSlowModes:
