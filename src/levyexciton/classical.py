@@ -5,7 +5,9 @@ long-range rates w(r) = kappa / |r|^(2 alpha) from :mod:`levyexciton.model`.
 Two independent routes are provided:
 
 * :func:`cme_integrate` -- adaptive ODE integration with the generator
-  applied by FFT convolution (works for both boundary conditions and d <= 3);
+  applied by FFT convolution (works for both boundary conditions and d <= 3;
+  on open lattices each axis is zero-padded to a fast FFT length >= 2N - 1,
+  see :func:`levyexciton.model.open_kernel_and_escape`);
 * :func:`cme_spectral_solve` -- the exact matrix exponential of the finite
   periodic generator, obtained from the DFT of the ring kernel row.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fftn, ifftn, irfftn, rfftn
+from scipy.fft import fftn, ifftn
 from scipy.integrate import solve_ivp
 
 from .model import ModelParams, min_image, open_kernel_and_escape, output_times, ring_rate_row
@@ -85,15 +87,11 @@ def _make_rhs(params: ModelParams):
             return (conv - esc * n).ravel()
 
         return rhs
-    w, escape = open_kernel_and_escape(params)
-    fshape = [2 * s - 1 for s in shape]
-    wf = rfftn(w, s=fshape)
-    sl = tuple(slice(s - 1, 2 * s - 1) for s in shape)
+    convolve, escape = open_kernel_and_escape(params)
 
     def rhs(t, y):
         n = y.reshape(shape)
-        conv = irfftn(rfftn(n, s=fshape) * wf, s=fshape)[sl]
-        return (conv - escape * n).ravel()
+        return (convolve(n) - escape * n).ravel()
 
     return rhs
 
@@ -235,14 +233,24 @@ def tail_fit(profile: DensityProfile, j_window):
     """
     if profile.values.ndim != 1:
         raise ValueError("tail_fit expects a one-dimensional profile; take an axis cut first")
+    coords = profile.coordinates()[0]
+    sel = tail_window(coords, j_window)
+    return fit_power_law(coords[sel], profile.values[sel])
+
+
+def tail_window(coords, j_window) -> np.ndarray:
+    """Mask of the displacements ``coords`` inside the inclusive (j_min, j_max).
+
+    Refuses a window with j_min < 1 or j_min >= j_max, or one holding fewer
+    than 4 sites.
+    """
     j_min, j_max = int(j_window[0]), int(j_window[1])
     if not 1 <= j_min < j_max:
         raise ValueError("window must satisfy 1 <= j_min < j_max")
-    coords = profile.coordinates()[0]
     sel = (coords >= j_min) & (coords <= j_max)
     if sel.sum() < 4:
         raise ValueError("window contains fewer than 4 sites")
-    return fit_power_law(coords[sel], profile.values[sel])
+    return sel
 
 
 def axis_profile(profile: DensityProfile, axis: int = 0):

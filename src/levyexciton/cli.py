@@ -7,9 +7,11 @@ artifacts plus ``manifest.json`` listing each artifact with a content hash.
 Outputs are deterministic given the config (including the seed); timestamps
 live only in the manifest. No plotting: figures are produced externally.
 
-Exit codes: 0 success; 2 configuration error (unknown or unparseable keys,
-invalid model parameters, output times that are empty, repeated, negative or
-NaN), with no manifest written; 3 solver error.
+Exit codes: 0 success; 2 configuration error (a file configparser cannot
+read, unknown or unparseable keys, invalid model parameters, output times that
+are empty, repeated, negative or NaN, a negative seed for KMC trajectories,
+sizes below 2, a tail-fit window holding fewer than four sites), with no
+manifest written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -82,9 +84,21 @@ class ExperimentConfig:
             raise ConfigError(f"method must be auto|ode|spectral, got {self.run.method!r}")
         if self.run.trajectories < 0:
             raise ConfigError("trajectories must be non-negative")
+        if self.run.seed < 0 and self.run.trajectories > 0:
+            raise ConfigError(f"seed must be non-negative, got {self.run.seed}")
+        if any(n < 2 for n in self.run.n_list or ()):
+            raise ConfigError(f"n_list sizes must be at least 2, got {self.run.n_list}")
         if not self.model.gamma > 0:
             # every kind uses kappa = 2 J^2/gamma or divides by gamma
             raise ConfigError(f"gamma must be positive, got {self.model.gamma}")
+        window = (self.run.fit_j_min, self.run.fit_j_max)
+        if self.kind == "classical-profile" and None not in window:
+            # the axis cut through the excited site, which tail_fit sees
+            cut = classical.DensityProfile(0.0, np.zeros(self.model.N), self.model.bc, _origin(self)[:1])
+            try:
+                classical.tail_window(cut.coordinates()[0], window)
+            except ValueError as exc:
+                raise ConfigError(f"tail-fit window {window}: {exc}") from exc
 
 
 # -- config file parsing ---------------------------------------------------------
@@ -120,7 +134,10 @@ def load_config(path) -> ExperimentConfig:
     """Parse an INI experiment file, rejecting unknown sections and keys."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # model keys J and N are case-sensitive contract names
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     known = {"experiment", "model", "run"}
@@ -258,15 +275,19 @@ def _run_quantum_variance(config: ExperimentConfig, col: _Collector):
             col.csv("variance.csv", run.tag, "t,qme,eq3,classical", rows())
 
 
+def _origin(config: ExperimentConfig) -> tuple[int, ...]:
+    """Initial site of a classical run: a lattice corner or the central site."""
+    p = config.model
+    if config.run.excitation == "edge":
+        return (0,) * p.d
+    return tuple((s // 2) for s in p.shape)
+
+
 def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.DensityProfile]:
     p = config.model
-    run = config.run
-    if p.bc == "periodic" and run.method != "ode":
+    if p.bc == "periodic" and config.run.method != "ode":
         return [classical.cme_spectral_solve(p, t) for t in ts]
-    if run.excitation == "edge":
-        origin = (0,) * p.d
-    else:
-        origin = tuple((s // 2) for s in p.shape)
+    origin = _origin(config)
     n0 = np.zeros(p.shape)
     n0[origin] = 1.0
     start = classical.DensityProfile(0.0, n0, p.bc, origin)
@@ -361,11 +382,11 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
         col.csv(f"chi_N{N}.csv", run.tag, "t,chi2_over_N", rows)
     # occupation profile for the configured N at the requested times
     ts_occ = times if times is not None else series[-1][0][:: max(1, len(series[-1][0]) // 8)]
-    traj = manybody.occupation_evolution(p, ts_occ)
+    lin = manybody.occupation_evolution(p, ts_occ)
     labels = [str(j) for j in manybody.site_labels(p.N)]
     rows = (
         (t, j, _fmt(n))
-        for t, occ in zip(map(_fmt, ts_occ), traj)
+        for t, occ in zip(map(_fmt, ts_occ), lin)
         for j, n in zip(labels, occ.tolist())
     )
     col.csv("occupation.csv", run.tag, "t,j,n", rows)
@@ -381,7 +402,6 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
             for j, m, e in zip(labels, mean.tolist(), err.tolist())
         )
         col.csv("kmc.csv", run.tag, "t,j,n_mean,n_stderr", rows)
-        lin = manybody.occupation_evolution(p, ts_occ)
         # each trajectory's occupation is Bernoulli(lin) by duality, so the
         # mean's stderr is sqrt(lin (1 - lin) / n); where lin is exactly 0 or
         # 1 the ensemble must agree with it exactly

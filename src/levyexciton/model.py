@@ -245,14 +245,19 @@ def open_line_rates(params: ModelParams) -> np.ndarray:
     return w
 
 
-def open_kernel_and_escape(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Centered rate kernel w(r) on (-(N-1)..N-1)^d plus per-site escape rates.
+def open_kernel_and_escape(params: ModelParams):
+    """Convolution with the open-lattice rate kernel, plus per-site escape rates.
 
-    The escape field escape[j] = sum over in-lattice targets of w(|l - j|); it
-    varies near open edges and is computed once by convolving the kernel with
-    the all-ones occupation.
+    Returns ``(convolve, escape)``. ``convolve(n)`` is the linear convolution
+    sum over lattice sites l of w(|l - j|) n_l, for an array n of the lattice
+    shape. The kernel w(r) on (-(N-1)..N-1)^d is zero-padded on each axis to
+    ``next_fast_len(2N - 1)``: any length >= 2N - 1 leaves the slice
+    [N-1, 2N-1) free of wrap-around, and a fast length avoids FFTs of prime
+    size (2N - 1 = 59 at N = 30). The kernel is transformed once. The escape
+    field escape[j] = sum over in-lattice targets of w(|l - j|) varies near
+    open edges and is the convolution of the all-ones occupation.
     """
-    from scipy.fft import irfftn, rfftn
+    from scipy.fft import irfftn, next_fast_len, rfftn
 
     shape = params.shape
     grids = np.meshgrid(*[np.arange(-(s - 1), s) for s in shape], indexing="ij")
@@ -260,11 +265,14 @@ def open_kernel_and_escape(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     w = np.zeros_like(r2)
     nz = r2 > 0
     w[nz] = params.kappa * r2[nz] ** (-params.alpha)
-    fshape = [2 * s - 1 for s in shape]
+    fshape = [next_fast_len(2 * s - 1, real=True) for s in shape]
     wf = rfftn(w, s=fshape)
     sl = tuple(slice(s - 1, 2 * s - 1) for s in shape)
-    escape = irfftn(rfftn(np.ones(shape), s=fshape) * wf, s=fshape)[sl]
-    return w, escape
+
+    def convolve(n):
+        return irfftn(rfftn(n, s=fshape) * wf, s=fshape)[sl]
+
+    return convolve, convolve(np.ones(shape))
 
 
 def finite_displacement_norms(N: int, d: int, bc: str) -> tuple[np.ndarray, np.ndarray]:

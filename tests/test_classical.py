@@ -171,6 +171,25 @@ class TestOpenBcOracle:
         got = cme_integrate(delta_profile(p, 0), p, [t])[0].values
         assert np.max(np.abs(got - ref)) < 1e-9
 
+    @pytest.mark.parametrize("d, N", [(1, 30), (2, 16)])
+    def test_rhs_matches_dense_matvec(self, d, N):
+        # 2N - 1 = 59 and 31 are prime, so the right-hand side runs at the
+        # padded fast length; it must equal the assembled generator exactly
+        from levyexciton.classical import _make_rhs
+        from levyexciton.model import open_kernel_and_escape
+
+        p = mp(1.5, N=N, bc="open", d=d)
+        coords = np.indices(p.shape).reshape(d, -1).T.astype(float)
+        r2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=-1)
+        W = np.zeros_like(r2)
+        W[r2 > 0] = p.kappa * r2[r2 > 0] ** (-p.alpha)
+        _, escape = open_kernel_and_escape(p)
+        assert np.max(np.abs(escape.ravel() - W.sum(axis=1))) <= 1e-15
+        n = np.random.default_rng(0).random(p.n_sites)
+        n /= n.sum()
+        ref = W @ n - W.sum(axis=1) * n
+        assert np.max(np.abs(_make_rhs(p)(0.0, n) - ref)) <= 1e-15
+
 
 class TestRingVarianceIdentity:
     def test_slope_equals_kernel_second_moment(self):

@@ -187,6 +187,17 @@ class TestRun:
         ratio = float(stats["max_deviation_over_stderr"])
         assert 0.5 < ratio < 6.0
 
+    def test_duality_check_ratio_is_finite_with_t0(self, tmp_path):
+        # at t = 0 the dual prediction is the wall itself, exactly 0 or 1
+        cfg = ExperimentConfig(
+            "manybody-relax",
+            ModelParams(d=1, alpha=2.0, J=1.0, gamma=2.0, N=64, bc="open"),
+            RunOptions(times=[0.0, 0.5], trajectories=50, seed=3, out_dir=str(tmp_path)),
+        )
+        run(cfg)
+        lines = (tmp_path / "duality_check.txt").read_text().splitlines()
+        assert float(dict(line.split(" = ") for line in lines)["max_deviation_over_stderr"]) < 6.0
+
     def test_classical_moments_kind(self, tmp_path):
         cfg = ExperimentConfig(
             "classical-moments",
@@ -327,6 +338,45 @@ class TestMain:
         assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("manybody-relax", "out = {out}", "out = {out}\ntrajectories = 2\nseed = -1"),
+            ("quantum-variance", "out = {out}", "out = {out}\nn_list = 0, 5"),
+            ("classical-profile", "fit_j_min = 8", "fit_j_min = 30"),  # 30, 31 only
+            ("classical-profile", "fit_j_min = 8", "fit_j_min = 0"),
+        ],
+        ids=["negative-seed", "size-below-2", "window-under-4-sites", "window-from-0"],
+    )
+    def test_run_values_a_solver_refuses_exit_2(self, tmp_path, kind, old, new, capsys):
+        # caught at config time, before the run creates its output directory
+        text = (
+            CONFIG_TEXT.replace("classical-profile", kind)
+            .replace(old, new)
+            .replace("N = 128\nbc = periodic", "N = 64\nbc = open")
+        )
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tail_window_follows_the_excitation(self, tmp_path):
+        # sites 30..40 from a corner of a 64-site open chain hold 11 sites
+        text = (
+            CONFIG_TEXT.replace("fit_j_min = 8", "fit_j_min = 30\nexcitation = edge")
+            .replace("N = 128\nbc = periodic", "N = 64\nbc = open")
+        )
+        assert load_config(write_config(tmp_path, text=text)).run.fit_j_min == 30
+
+    @pytest.mark.parametrize(
+        "text",
+        ["kind = classical-profile\n", CONFIG_TEXT.replace("[model]", "kind = spectrum\n\n[model]")],
+        ids=["no-section-header", "repeated-key"],
+    )
+    def test_unparseable_config_file_exit_2(self, tmp_path, text, capsys):
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

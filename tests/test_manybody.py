@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from levyexciton.manybody import (
+    CHI2_FIT_WINDOW,
     FitWindowError,
     chi_squared_series,
     domain_wall_config,
@@ -166,6 +167,61 @@ class TestOccupation:
         traj = occupation_evolution(p, [1e6])[0]
         np.testing.assert_allclose(traj, 0.5, atol=1e-9)
 
+    @pytest.mark.parametrize("method", ["eig", "ode"])
+    def test_t0_row_is_the_wall(self, method):
+        traj = occupation_evolution(chain(2.0, N=32), [0.0, 1.0], method=method)
+        assert np.array_equal(traj[0], domain_wall_config(32).occupations)
+
+    @pytest.mark.parametrize("method", ["eig", "ode"])
+    @pytest.mark.parametrize(
+        "times", [[-1.0], [np.nan], [], [1.0, 1.0]], ids=["negative", "nan", "empty", "repeated"]
+    )
+    def test_bad_time_grid(self, method, times):
+        with pytest.raises(ValueError, match="strictly increasing and non-negative"):
+            occupation_evolution(chain(2.0, N=32), times, method=method)
+
+    def test_occupation_outside_unit_interval_raises(self, monkeypatch):
+        # a growing mode (sign-flipped spectrum) must not pass silently
+        eigh = np.linalg.eigh
+
+        def flipped(W):
+            lam, U = eigh(W)
+            return -lam, U
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        with pytest.raises(RuntimeError, match=r"leave \[0, 1\]"):
+            occupation_evolution(chain(2.0, N=32), [0.0, 1.0])
+
+    def test_chi2_vs_mpmath_full_generator(self):
+        # oracle: 40-digit eigendecomposition of the full N x N generator (no
+        # reflection symmetry used) at three times across the chi^2 fit window
+        mpmath = pytest.importorskip("mpmath")
+        from levyexciton.cli import _relax_time_grid
+
+        N = 40
+        p = chain(3.0, N=N)
+        grid = _relax_time_grid(p, N)
+        chi_grid = chi_squared_series(occupation_evolution(p, grid))
+        lo, hi = CHI2_FIT_WINDOW
+        inside = np.flatnonzero((chi_grid >= lo) & (chi_grid <= hi))
+        ts = grid[inside[[0, inside.size // 2, -1]]]
+        chi = chi_squared_series(occupation_evolution(p, ts))
+        with mpmath.workdps(40):
+            w = [mpmath.mpf(0)] + [mpmath.mpf(p.kappa) / mpmath.mpf(r) ** (2 * p.alpha) for r in range(1, N)]
+            W = mpmath.matrix(N, N)
+            for i in range(N):
+                for j in range(N):
+                    if i != j:
+                        W[i, j] = w[abs(i - j)]
+                W[i, i] = -mpmath.fsum(w[abs(i - j)] for j in range(N))
+            lam, Q = mpmath.eigsy(W)
+            c = [mpmath.fsum(Q[j, k] for j in range(N // 2)) for k in range(N)]
+            for t, got in zip(ts, chi):
+                decay = [mpmath.exp(lam[k] * mpmath.mpf(t)) * c[k] for k in range(N)]
+                n = [mpmath.fsum(Q[j, k] * decay[k] for k in range(N)) for j in range(N)]
+                ref = mpmath.fsum((x - mpmath.mpf(1) / 2) ** 2 for x in n) / (N // 2)
+                assert abs(got - float(ref)) <= 1e-11 * float(ref)
+
 
 class TestParticleHole:
     def test_t0_exact(self):
@@ -175,6 +231,13 @@ class TestParticleHole:
     def test_under_evolution(self):
         p = chain(1.0, N=100)
         traj = occupation_evolution(p, [0.1, 0.5, 3.0])
+        worst, site, ti = particle_hole_asymmetry(traj)
+        assert worst <= 1e-8
+
+    def test_under_evolution_ode(self):
+        # the eig route is symmetric by construction; the integrator is not
+        p = chain(1.0, N=100)
+        traj = occupation_evolution(p, [0.1, 0.5, 3.0], method="ode")
         worst, site, ti = particle_hole_asymmetry(traj)
         assert worst <= 1e-8
 
