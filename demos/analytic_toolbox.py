@@ -49,7 +49,6 @@ for t in (0.5, 1.0, 3.0, 10.0, 100.0):
     print(f"  kappa t = {t:6.1f}: xi = {xi}")
 
 print("\nstructure function vs its near-origin expansion (alpha = 1, exact closed form):")
-sf = StructureFunction(p)
 p1 = ModelParams(d=1, alpha=1.0, J=1.0, gamma=2.0, N=64, bc="periodic")
 sf1 = StructureFunction(p1)
 for q in (0.05, 0.2, 1.0, math.pi):

@@ -21,7 +21,7 @@ from scipy.special import wofz
 
 from .model import ModelParams, finite_displacement_norms
 from .special import (
-    _upper_gamma_cf,
+    _upper_gamma,
     _zeta_any,
     DAWSON_STABILITY_RADIUS,
     gamma_fn,
@@ -30,10 +30,11 @@ from .special import (
     riemann_zeta,
 )
 
-# truncation radii for direct d >= 2 structure-function sums
-DIRECT_SUM_RADIUS = {2: 2000, 3: 300}
-
 _INTEGER_TOL = 1e-9
+
+# half-width of the image cube in both Ewald sums: the first omitted term is
+# below exp(-pi 4.5^2) ~ 1e-28 of the kept ones
+_EWALD_CUBE = 4
 
 
 def _is_integer(x: float) -> bool:
@@ -43,31 +44,34 @@ def _is_integer(x: float) -> bool:
 # -- lattice sums ----------------------------------------------------------------
 
 
-def _lattice_sum_infinite(s: float, d: int) -> float:
-    """sum over nonzero r in Z^d of |r|^(-s), s > d, to near machine precision.
+def _epstein_cos(s: float, d: int, q) -> float:
+    """sum over nonzero r in Z^d of cos(q.r) |r|^(-s), s > d, by Ewald splitting.
 
-    Incomplete-gamma (theta-function) splitting: both image sums decay like
-    exp(-pi n^2), so five shells suffice for double precision.
+    Epstein's theta split at unit scale gives pi^(s/2) / Gamma(s/2) times
+    T1 + T2 - 2/s with T1 = sum_{r != 0} cos(q.r) Gamma(s/2, pi r^2) (pi r^2)^(-s/2)
+    and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|;
+    a term with u = 0 is 2/(s - d). Both sums run over the cube |n_i| <= 4.
     """
-    if d == 1:
-        return 2.0 * riemann_zeta(s)
-    w = s / 2.0
-    vals, counts = finite_displacement_norms(11, d, "open")  # the cube |r_i| <= 5
-    t1 = sum(c * _upper_gamma_cf(w, math.pi * v) * v**-w for v, c in zip(vals, counts))
-    t2 = math.pi**w * (1.0 / (w - d / 2.0) - 1.0 / w)
-    t3 = math.pi ** (2 * w - d / 2.0) * sum(
-        c * _upper_gamma_cf(d / 2.0 - w, math.pi * v) * v ** (w - d / 2.0)
-        for v, c in zip(vals, counts)
-    )
-    return (t1 + t2 + t3) / gamma_fn(w)
+    axis = np.arange(-_EWALD_CUBE, _EWALD_CUBE + 1, dtype=float)
+    n = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    x = math.pi * np.sum(n**2, axis=1)
+    nz = x > 0
+    t1 = np.sum(np.cos(n[nz] @ q) * _upper_gamma(s / 2.0, x[nz]) * x[nz] ** (-s / 2.0))
+    x = math.pi * np.sum((n + q / (2.0 * math.pi)) ** 2, axis=1)
+    nz = x > 0
+    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[nz]) * x[nz] ** ((s - d) / 2.0))
+    if not np.all(nz):
+        t2 += 2.0 / (s - d)
+    return float(math.pi ** (s / 2.0) / gamma_fn(s / 2.0) * (t1 + t2 - 2.0 / s))
 
 
 def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") -> float:
     """sum_{r != 0} |r|^(-s) over Z^d (N = None) or a finite N^d lattice.
 
-    The infinite sum requires s > d and is accurate to ~1e-14 relative; the
-    finite sum is exact for any s and matches the displacement sets used by
-    the solvers (minimum image for periodic, central site for open).
+    The infinite sum requires s > d; it is 2 zeta(s) in d = 1 and the q = 0
+    Ewald sum of the structure function in d >= 2, accurate to ~1e-15
+    relative. The finite sum is exact for any s and matches the displacement
+    sets used by the solvers (minimum image for periodic, central site for open).
     """
     s = float(s)
     if not 1 <= d <= 3:
@@ -75,7 +79,7 @@ def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") ->
     if N is None:
         if s <= d:
             raise ValueError(f"lattice sum diverges for s = {s} <= d = {d}")
-        return _lattice_sum_infinite(s, d)
+        return 2.0 * riemann_zeta(s) if d == 1 else _epstein_cos(s, d, np.zeros(d))
     vals, counts = finite_displacement_norms(N, d, bc)
     return float(np.sum(counts * vals ** (-s / 2.0)))
 
@@ -87,56 +91,15 @@ class StructureFunction:
     """Dimensionless structure function A(q)/kappa = sum_{r!=0} r^(-2a) cos(q.r).
 
     d = 1 evaluates through the polylogarithm on the unit circle; d >= 2 uses
-    a direct lattice sum over the cube |r_i| <= R with the exact q = 0 tail
-    as the truncation correction (the cosine tail averages to the static one).
-    Construction precomputes the cached pieces; evaluation is read-only and
-    safe to share across workers.
+    the Ewald (Epstein theta) split of the lattice sum, whose q = 0 value is
+    :func:`lattice_sum`. Evaluation is read-only and safe to share across
+    workers. ``radius`` is accepted for compatibility and ignored.
     """
 
     def __init__(self, params: ModelParams, radius: int | None = None):
         params.require_thermodynamic()  # the q = 0 sum needs 2 alpha > d
         self.params = params
         self.a0 = lattice_sum(2 * params.alpha, params.d)
-        self.radius = radius if radius is not None else DIRECT_SUM_RADIUS.get(params.d, 0)
-        self._grid = None
-        self._partial0 = None
-        if params.d >= 2:
-            self._build_direct_grid()
-
-    def _build_direct_grid(self):
-        R = self.radius
-        axis = np.arange(0, R + 1, dtype=float)
-        wgt = np.where(axis == 0, 1.0, 2.0)
-        a = self.params.alpha
-        if self.params.d == 2:
-            r2 = axis[:, None] ** 2 + axis[None, :] ** 2
-            f = np.zeros_like(r2)
-            nz = r2 > 0
-            f[nz] = r2[nz] ** (-a)
-            self._grid = f
-            self._axis = axis
-            self._wgt = wgt
-            self._partial0 = float(wgt @ f @ wgt)
-        else:
-            # d = 3: too large to cache the cube; keep one 2d slice template
-            r2_xy = axis[:, None] ** 2 + axis[None, :] ** 2
-            self._grid = r2_xy
-            self._axis = axis
-            self._wgt = wgt
-            self._partial0 = self._contract_d3(np.zeros(3))
-
-    def _contract_d3(self, q) -> float:
-        axis, wgt, a = self._axis, self._wgt, self.params.alpha
-        cy = wgt * np.cos(q[1] * axis)
-        cz = wgt * np.cos(q[2] * axis)
-        total = 0.0
-        for ix, x in enumerate(axis):
-            r2 = self._grid + x * x
-            f = np.zeros_like(r2)
-            nz = r2 > 0
-            f[nz] = r2[nz] ** (-a)
-            total += wgt[ix] * math.cos(q[0] * x) * float(cy @ f @ cz)
-        return total
 
     def __call__(self, q) -> float:
         return structure_function_eval(self, q)
@@ -151,17 +114,8 @@ def structure_function_eval(sf: StructureFunction, q) -> float:
     if np.max(np.abs(q)) > math.pi + 1e-12:
         raise ValueError("momentum components must lie in [-pi, pi]")
     if p.d == 1:
-        qv = float(q[0])
-        if qv == 0.0:
-            return sf.a0
-        return 2.0 * polylog_circle(2 * p.alpha, qv).real
-    if p.d == 2:
-        cx = sf._wgt * np.cos(q[0] * sf._axis)
-        cy = sf._wgt * np.cos(q[1] * sf._axis)
-        direct = float(cx @ sf._grid @ cy)
-    else:
-        direct = sf._contract_d3(q)
-    return direct + (sf.a0 - sf._partial0)
+        return 2.0 * polylog_circle(2 * p.alpha, float(q[0])).real
+    return _epstein_cos(2 * p.alpha, p.d, q)
 
 
 # -- small-momentum expansions ------------------------------------------------------
@@ -390,14 +344,6 @@ def exact_profile_alpha1(j, t: float, params: ModelParams):
     if np.isscalar(j) or (isinstance(j, np.ndarray) and np.asarray(j).ndim == 0):
         return float(out[0])
     return out
-
-
-def dawson_arguments_in_radius(j, t: float, params: ModelParams):
-    """True where the alpha = 1 closed form is evaluated exactly (no fallback)."""
-    kt = params.kappa * t
-    jabs = np.abs(np.atleast_1d(np.asarray(j, dtype=float)))
-    z = np.sqrt(jabs**2 + (math.pi * kt) ** 2) / math.sqrt(2.0 * kt)
-    return z <= DAWSON_STABILITY_RADIUS
 
 
 # -- crossover scales -----------------------------------------------------------------

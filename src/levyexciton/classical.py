@@ -153,33 +153,15 @@ def cme_integrate(
     return out
 
 
-@dataclass(frozen=True)
-class CharacteristicGrid:
-    """Discrete ring momenta with the characteristic-function values K(q, t)."""
-
-    q: np.ndarray
-    K: np.ndarray
-    t: float
-
-
 def _ring_eigenvalues(params: ModelParams) -> np.ndarray:
     """Decay eigenvalues lambda(q) <= 0 of the finite periodic generator.
 
     The DFT of the kernel row, shifted so lambda(0) = 0 holds exactly in
-    floating point (this pins K(0, t) = 1 bit-exactly).
+    floating point.
     """
     lam = fftn(ring_rate_row(params)).real
     lam0 = lam.reshape(-1)[0]
     return lam - lam0
-
-
-def characteristic_grid(params: ModelParams, t: float) -> CharacteristicGrid:
-    """K(q, t) = exp([A(q) - A(0)] t) on the N^d discrete momentum grid."""
-    if params.bc != "periodic":
-        raise ValueError("characteristic function requires periodic bc")
-    lam = _ring_eigenvalues(params)
-    q = 2.0 * np.pi * np.fft.fftfreq(params.N)
-    return CharacteristicGrid(q=q, K=np.exp(lam * t), t=float(t))
 
 
 def ring_decay_rates(params: ModelParams) -> np.ndarray:

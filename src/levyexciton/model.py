@@ -151,27 +151,6 @@ def write_csv(path, header: str, rows) -> None:
 # -- lattice indexing ---------------------------------------------------------
 
 
-def flatten_index(coords, N: int) -> int:
-    """Row-major flattening of a d-tuple in [0, N)^d to [0, N^d)."""
-    idx = 0
-    for c in coords:
-        if not 0 <= c < N:
-            raise ValueError(f"coordinate {c} outside [0, {N})")
-        idx = idx * N + int(c)
-    return idx
-
-
-def unflatten_index(idx: int, N: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`flatten_index`."""
-    if not 0 <= idx < N**d:
-        raise ValueError(f"flat index {idx} outside [0, {N ** d})")
-    out = []
-    for _ in range(d):
-        out.append(idx % N)
-        idx //= N
-    return tuple(reversed(out))
-
-
 def min_image(delta, N: int):
     """Per-axis minimum-image displacement on an N-ring; never exceeds N/2."""
     delta = np.asarray(delta)

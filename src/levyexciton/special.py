@@ -6,11 +6,13 @@ function, and the Dawson integral at complex argument. Complex values are
 plain Python/NumPy ``complex``.
 
 Zeta and Dawson wrap ``scipy.special`` (``zeta``, ``dawsn``); the alpha = 1
-ring profile calls ``scipy.special.wofz`` directly. Three stay hand-written:
+ring profile calls ``scipy.special.wofz`` directly. The upper incomplete
+gamma ``_upper_gamma`` of the Ewald lattice sums is ``gammaincc * gamma`` for
+positive order; the negative orders that ``gammaincc`` refuses come by
+recurrence from the fractional part, or from ``exp1`` at integer order. Two
+stay hand-written:
 
 * :func:`polylog_circle`: scipy has no polylogarithm.
-* ``_upper_gamma_cf``: the lattice sums need negative orders, which
-  ``scipy.special.gammaincc`` does not accept.
 * :func:`lambert_w_m1`: ``scipy.special.lambertw(y, -1)`` is NaN at
   y = -1/e and off by 2.3e-5 relative at y = -1/e + 1e-10.
 
@@ -209,30 +211,22 @@ def dawson(z) -> complex:
     return complex(sc.dawsn(z))
 
 
-# -- incomplete gamma (internal; used by the lattice sums) ----------------------
+# -- upper incomplete gamma (internal; used by the Ewald lattice sums) ----------
 
 
-def _upper_gamma_cf(a: float, x: float, tol: float = 1e-16, itmax: int = 400) -> float:
-    """Gamma(a, x) for x > 0 and real a by the Lentz continued fraction."""
-    if x <= 0:
-        raise ValueError("continued fraction needs x > 0")
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, itmax):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    return math.exp(-x + a * math.log(x)) * h
+def _upper_gamma(a: float, x):
+    """Gamma(a, x) for real a and x > 0, elementwise over an array x.
+
+    a > 0 is ``gammaincc * gamma``. For a <= 0, the recurrence
+    Gamma(b - 1, x) = (Gamma(b, x) - x^(b-1) e^(-x)) / (b - 1) steps down from
+    the fractional part of a, or from Gamma(0, x) = E_1(x) at integer a.
+    """
+    x = np.asarray(x, dtype=float)
+    if a > 0:
+        return sc.gammaincc(a, x) * sc.gamma(a)
+    b = a - math.floor(a)
+    g = sc.exp1(x) if b == 0.0 else sc.gammaincc(b, x) * sc.gamma(b)
+    for _ in range(round(b - a)):
+        b -= 1.0
+        g = (g - x**b * np.exp(-x)) / b
+    return g

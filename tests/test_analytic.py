@@ -1,15 +1,18 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyexciton.analytic import (
+    _epstein_cos,
     CrossoverScales,
     StructureFunction,
     asymptotic_profile,
     coefficients,
     crossover,
-    dawson_arguments_in_radius,
     exact_profile_alpha1,
     forster_ratio,
     lattice_sum,
@@ -19,7 +22,7 @@ from levyexciton.analytic import (
     structure_function_eval,
 )
 from levyexciton.model import ModelParams
-from levyexciton.special import riemann_zeta
+from levyexciton.special import DAWSON_STABILITY_RADIUS, polylog_circle, riemann_zeta
 
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
@@ -120,8 +123,8 @@ class TestStructureFunction:
         assert structure_function_eval(sf, 0.3) == pytest.approx(ref, abs=1e-7)
 
     def test_q0_identity_same_code_path(self):
-        for params in (mp(1.3), mp(2.0, d=2, N=32)):
-            sf = StructureFunction(params, radius=200 if params.d == 2 else None)
+        for params in (mp(1.3), mp(2.0, d=2, N=32), mp(1.75, d=3, N=16)):
+            sf = StructureFunction(params)
             assert structure_function_eval(sf, np.zeros(params.d)) == lattice_sum(
                 2 * params.alpha, params.d
             )
@@ -132,7 +135,7 @@ class TestStructureFunction:
             assert structure_function_eval(sf, q) == pytest.approx(
                 structure_function_eval(sf, -q), rel=1e-12
             )
-        sf2 = StructureFunction(mp(1.8, d=2, N=32), radius=300)
+        sf2 = StructureFunction(mp(1.8, d=2, N=32))
         q = np.array([0.4, -1.0])
         assert structure_function_eval(sf2, q) == pytest.approx(
             structure_function_eval(sf2, -q), rel=1e-12
@@ -153,7 +156,9 @@ class TestStructureFunction:
         assert second == pytest.approx(-2 * riemann_zeta(4.0), abs=1e-4)
 
     def test_d2_value_vs_direct_oracle(self):
-        sf = StructureFunction(mp(2.0, d=2, N=32), radius=400)
+        # away from q = 0 the cosine tail beyond the cube |r_i| <= R oscillates
+        # to ~0, so the plain truncated sum is the oracle (measured gap 2e-11)
+        sf = StructureFunction(mp(2.0, d=2, N=32))
         q = np.array([0.7, 0.3])
         R = 400
         rng = np.arange(-R, R + 1)
@@ -161,13 +166,77 @@ class TestStructureFunction:
         r2 = (X * X + Y * Y).astype(float)
         mask = r2 > 0
         direct = float(np.sum(np.cos(q[0] * X[mask] + q[1] * Y[mask]) * r2[mask] ** -2.0))
-        # the tail the evaluator adds beyond the cube is the static one
-        tail = lattice_sum(4.0, 2) - float(np.sum(r2[mask] ** -2.0))
-        assert structure_function_eval(sf, q) == pytest.approx(direct + tail, rel=1e-12)
+        assert structure_function_eval(sf, q) == pytest.approx(direct, rel=1e-10)
+
+    def test_d3_zone_boundary_value(self):
+        # direct sum over |r_i| <= 60 without a tail: 0.4668; Ewald: 0.46643
+        sf = StructureFunction(mp(1.75, d=3, N=16))
+        assert structure_function_eval(sf, [math.pi, 0.0, 0.0]) == pytest.approx(0.46643, abs=1e-5)
 
     def test_divergent_regime_refused(self):
         with pytest.raises(ValueError):
             StructureFunction(mp(0.5))
+
+
+def epstein_mpmath_oracle(s: float, d: int, q, R: int = 4) -> float:
+    """The same Ewald split term by term in 25-digit mpmath (``mpmath.gammainc``)."""
+    mpmath = pytest.importorskip("mpmath")
+
+    with mpmath.workdps(25):
+        s = mpmath.mpf(s)
+        q = [mpmath.mpf(float(v)) for v in q]
+        t1 = t2 = mpmath.mpf(0)
+        for n in itertools.product(range(-R, R + 1), repeat=d):
+            r2 = sum(k * k for k in n)
+            if r2:
+                x = mpmath.pi * r2
+                phase = mpmath.cos(sum(k * v for k, v in zip(n, q)))
+                t1 += phase * mpmath.gammainc(s / 2, x) * x ** (-s / 2)
+            u2 = sum((k + v / (2 * mpmath.pi)) ** 2 for k, v in zip(n, q))
+            if u2:
+                x = mpmath.pi * u2
+                t2 += mpmath.gammainc((d - s) / 2, x) * x ** ((s - d) / 2)
+            else:
+                t2 += 2 / (s - d)
+        return float(mpmath.pi ** (s / 2) / mpmath.gamma(s / 2) * (t1 + t2 - 2 / s))
+
+
+class TestEwaldRoute:
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
+    def test_d1_matches_polylog_route(self, alpha):
+        qs = np.linspace(0.0, math.pi, 257)
+        ewald = np.array([_epstein_cos(2 * alpha, 1, np.array([q])) for q in qs])
+        poly = np.array([2.0 * polylog_circle(2 * alpha, q).real for q in qs])
+        np.testing.assert_allclose(ewald, poly, rtol=0, atol=1e-12)
+
+    def test_d3_small_q_matches_expansion(self):
+        params = mp(1.75, d=3, N=16)
+        sf = StructureFunction(params)
+        for q in (np.array([0.01, 0.0, 0.0]), np.array([0.0, -0.006, 0.008])):
+            got = structure_function_eval(sf, q)
+            assert got == pytest.approx(small_q_expansion(params, q).value, abs=1e-3)
+
+    @pytest.mark.parametrize("s", [3.0, 4.0])  # Gamma(a, x) at a = -1/2 and at the integer a = -1
+    def test_d2_vs_mpmath_gammainc(self, s):
+        for q in (np.zeros(2), np.array([0.7, 0.3]), np.array([0.01, -0.02]), np.array([math.pi, math.pi])):
+            ref = epstein_mpmath_oracle(s, 2, q)
+            assert _epstein_cos(s, 2, q) == pytest.approx(ref, rel=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([(2, 1.25), (2, 2.0), (2, 3.0), (3, 1.75), (3, 2.5), (3, 4.0)]),
+        st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+        st.permutations([0, 1, 2]),
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+    )
+    def test_cubic_symmetry_and_maximum_at_origin(self, case, q, perm, signs):
+        d, alpha = case
+        sf = StructureFunction(mp(alpha, d=d, N=16))
+        q = np.array(q[:d])
+        image = (q * np.array(signs[:d]))[[i for i in perm if i < d]]
+        value = structure_function_eval(sf, q)
+        assert structure_function_eval(sf, image) == pytest.approx(value, rel=1e-13, abs=1e-13)
+        assert value <= sf.a0 + 1e-12
 
 
 # ---------------------------------------------------------------- small-q expansions
@@ -219,7 +288,7 @@ class TestSmallQ:
         # alpha < alpha_cr in d = 2: A(q) - A(0) ~ c1 |q|^(2a-d); the omitted
         # q^2 correction dies off only like q^(d+2-2a), so compare ratios
         params = mp(1.8, d=2, N=32)
-        sf = StructureFunction(params, radius=800)
+        sf = StructureFunction(params)
         a0 = sf.a0
 
         def ratio(qs):
@@ -238,7 +307,7 @@ class TestSmallQ:
         # share sum_r r_i^2 r^(-2a) = sum_r r^(-2a+2)/d, so the measured
         # correction ratio converges to 1/d (reported, not silently fixed).
         params = mp(2.6, d=2, N=32)
-        sf = StructureFunction(params, radius=800)
+        sf = StructureFunction(params)
         a0 = sf.a0
         ratios = []
         for qs in (0.05, 0.02):
@@ -368,11 +437,15 @@ class TestExactProfileAlpha1:
             tol = max(1e-11, 1e-14 * math.exp(j**2 / (2 * kt)))
             assert exact_profile_alpha1(j, t, p) == pytest.approx(direct.real, rel=tol)
 
-    def test_fallback_region_flagged(self):
+    def test_tail_beyond_stability_radius_is_exact(self):
         p = mp(1.0)
-        t = 0.5 / p.kappa
-        mask = dawson_arguments_in_radius(np.arange(0, 60), t, p)
-        assert mask[0] and not mask[-1]
+        t = 0.5 / p.kappa  # kappa t = 0.5
+        js = np.arange(0, 60)
+        outside = np.hypot(js, math.pi * 0.5) / math.sqrt(2 * 0.5) > DAWSON_STABILITY_RADIUS
+        assert not outside[0] and outside[-1]
+        got = exact_profile_alpha1(js, t, p)
+        np.testing.assert_array_equal(got[outside], 0.5 / js[outside].astype(float) ** 2)
+        assert np.all(got[~outside] != 0.5 / np.maximum(js[~outside], 1).astype(float) ** 2)
 
 
 # ---------------------------------------------------------------- crossover

@@ -8,11 +8,11 @@ from levyexciton.classical import (
     DensityProfile,
     IntegrationError,
     axis_profile,
-    characteristic_grid,
     cme_integrate,
     cme_spectral_solve,
     fit_power_law,
     moments,
+    ring_decay_rates,
     tail_fit,
 )
 from levyexciton.model import ModelParams
@@ -92,11 +92,11 @@ class TestSpectral:
         ref[0] = 1.0
         np.testing.assert_allclose(prof.values, ref, atol=1e-14)
 
-    def test_characteristic_at_q0_is_one(self):
-        p = mp(1.3, N=64)
-        for t in (0.0, 0.7, 13.0):
-            K = characteristic_grid(p, t).K
-            assert K[0] == 1.0  # exact by construction
+    def test_steady_state_rate_is_exactly_zero(self):
+        for p in (mp(1.3, N=64), mp(2.2, N=17, d=2)):
+            rates = ring_decay_rates(p)
+            assert rates[0] == 0.0  # exact by construction
+            assert rates[1] > 0.0
 
     def test_profile_even(self):
         p = mp(1.5, N=129)

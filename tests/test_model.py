@@ -6,11 +6,9 @@ from levyexciton.model import (
     ModelParams,
     classical_rate,
     escape_rate,
-    flatten_index,
     hopping_amplitude,
     min_image,
     ring_rate_row,
-    unflatten_index,
 )
 
 
@@ -72,11 +70,6 @@ class TestParams:
 
 
 class TestIndexing:
-    @given(st.integers(2, 12), st.integers(1, 3), st.data())
-    def test_flatten_bijection(self, N, d, data):
-        coords = tuple(data.draw(st.integers(0, N - 1)) for _ in range(d))
-        assert unflatten_index(flatten_index(coords, N), N, d) == coords
-
     @given(st.integers(2, 50), st.integers(-200, 200))
     def test_min_image_bound(self, N, delta):
         assert abs(int(min_image(delta, N))) <= N // 2

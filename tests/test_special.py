@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from levyexciton.special import (
     DAWSON_STABILITY_RADIUS,
+    _upper_gamma,
     _zeta_any,
     dawson,
     gamma_fn,
@@ -185,6 +186,20 @@ class TestGamma:
     def test_negative_non_integer(self):
         # Gamma(-0.5) = -2 sqrt(pi)
         assert gamma_fn(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-12)
+
+
+class TestUpperGamma:
+    # the orders the d = 2 Ewald sums use at s = 3 and 4: the fractional-part
+    # recurrence (a = -1/2), the E_1 recurrence (a = -1), and gammaincc (a > 0)
+    @pytest.mark.parametrize("a", [-0.5, -1.0, 1.5, 2.0])
+    def test_vs_mpmath_gammainc(self, a):
+        mpmath = pytest.importorskip("mpmath")
+
+        xs = np.array([1e-4, 0.03, 0.5, math.pi, 2 * math.pi, 4 * math.pi])
+        got = _upper_gamma(a, xs)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.gammainc(a, mpmath.mpf(float(x)))) for x in xs]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------- Lambert W
