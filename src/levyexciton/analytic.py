@@ -50,7 +50,7 @@ def _epstein_cos(s: float, d: int, q) -> float:
     Epstein's theta split at unit scale gives pi^(s/2) / Gamma(s/2) times
     T1 + T2 - 2/s with T1 = sum_{r != 0} cos(q.r) Gamma(s/2, pi r^2) (pi r^2)^(-s/2)
     and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|;
-    a term with u = 0 is 2/(s - d). Both sums run over the cube |n_i| <= 4.
+    a term with u -> 0 is its limit 2/(s - d). Both sums run over the cube |n_i| <= 4.
     """
     axis = np.arange(-_EWALD_CUBE, _EWALD_CUBE + 1, dtype=float)
     n = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
@@ -58,10 +58,9 @@ def _epstein_cos(s: float, d: int, q) -> float:
     nz = x > 0
     t1 = np.sum(np.cos(n[nz] @ q) * _upper_gamma(s / 2.0, x[nz]) * x[nz] ** (-s / 2.0))
     x = math.pi * np.sum((n + q / (2.0 * math.pi)) ** 2, axis=1)
-    nz = x > 0
-    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[nz]) * x[nz] ** ((s - d) / 2.0))
-    if not np.all(nz):
-        t2 += 2.0 / (s - d)
+    xp = x ** ((s - d) / 2.0)
+    far = xp > 1e-300  # nearer terms equal their u -> 0 limit to double precision
+    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[far]) * xp[far]) + np.count_nonzero(~far) * 2.0 / (s - d)
     return float(math.pi ** (s / 2.0) / gamma_fn(s / 2.0) * (t1 + t2 - 2.0 / s))
 
 

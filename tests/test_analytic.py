@@ -238,6 +238,14 @@ class TestEwaldRoute:
         assert structure_function_eval(sf, image) == pytest.approx(value, rel=1e-13, abs=1e-13)
         assert value <= sf.a0 + 1e-12
 
+    @pytest.mark.parametrize("d, alpha", [(2, 1.25), (2, 2.0), (2, 3.0), (3, 1.75), (3, 2.5), (3, 4.0)])
+    def test_denormal_momentum_gives_the_q0_value(self, d, alpha):
+        # pi u^2 underflows towards 0 here; Gamma(a, x) x^(-a) must take its
+        # u -> 0 limit rather than overflow (found by the Hypothesis test above)
+        sf = StructureFunction(mp(alpha, d=d, N=16))
+        q = np.array([0.0, 5.266427758685845e-158, 0.0][:d])
+        assert structure_function_eval(sf, q) == pytest.approx(sf.a0, rel=1e-13)
+
 
 # ---------------------------------------------------------------- small-q expansions
 

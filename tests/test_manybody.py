@@ -8,18 +8,17 @@ from scipy.linalg import expm
 from levyexciton.manybody import (
     CHI2_FIT_WINDOW,
     FitWindowError,
+    SpinConfiguration,
     chi_squared_series,
     domain_wall_config,
     fit_tau,
     fractional_reference,
     kmc_simulate,
-    kmc_trajectory,
     occupation_evolution,
     particle_hole_asymmetry,
     relaxation_fit,
     site_labels,
     step_cosine_coefficients,
-    trajectory_rng,
 )
 from levyexciton.model import ModelParams, open_line_rates
 
@@ -83,22 +82,55 @@ class TestConfiguration:
 
 
 class TestKmc:
-    def test_particle_count_conserved_along_trajectory(self):
+    def test_particle_count_conserved(self):
         p = chain(2.0, N=32)
-        c0 = domain_wall_config(32)
-        traj = kmc_trajectory(c0, p, np.linspace(0.05, 1.0, 12), trajectory_rng(11, 0))
-        counts = traj.sum(axis=1)
-        assert np.all(counts == 16)
+        n_traj = 7
+        res = kmc_simulate(domain_wall_config(32), p, np.linspace(0.05, 1.0, 12), n_traj, seed=11)
+        counts = n_traj * res.mean
+        np.testing.assert_array_equal(counts, np.rint(counts))
+        assert np.all(np.rint(counts).sum(axis=1) == n_traj * 16)
 
     def test_reproducible_per_seed_and_index(self):
+        # trajectory i draws only from trajectory_rng(seed, i), so adding a
+        # fifth trajectory adds exactly that trajectory's occupations
         p = chain(1.5, N=24)
         c0 = domain_wall_config(24)
         ts = [0.2, 0.6]
-        a = kmc_trajectory(c0, p, ts, trajectory_rng(99, 4))
-        b = kmc_trajectory(c0, p, ts, trajectory_rng(99, 4))
-        c = kmc_trajectory(c0, p, ts, trajectory_rng(99, 5))
+
+        def added(n):
+            last = n * kmc_simulate(c0, p, ts, n, seed=99).mean
+            rest = (n - 1) * kmc_simulate(c0, p, ts, n - 1, seed=99).mean
+            return np.rint(last - rest)
+
+        a, b, c = added(5), added(5), added(6)
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert np.all(a.sum(axis=1) == 12)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("occ", [np.zeros(10), np.ones(10)])
+    def test_empty_and_full_chain_stay_put(self, occ):
+        c0 = SpinConfiguration(occ)
+        res = kmc_simulate(c0, chain(1.0, N=10), [0.0, 1.0, 5.0], n_traj=3, seed=2)
+        np.testing.assert_array_equal(res.mean, np.tile(occ, (3, 1)))
+
+    def test_time_zero_is_the_initial_configuration(self):
+        c0 = domain_wall_config(20)
+        res = kmc_simulate(c0, chain(1.0, N=20), [0.0], n_traj=300, seed=4)
+        np.testing.assert_array_equal(res.mean, c0.occupations[None, :])
+
+    @pytest.mark.parametrize(
+        "t_out",
+        [[], [1.0, 0.5], [0.5, 0.5], [-0.1, 1.0], [np.nan]],
+        ids=["empty", "unsorted", "repeated", "negative", "nan"],
+    )
+    def test_bad_output_times_rejected(self, t_out):
+        with pytest.raises(ValueError):
+            kmc_simulate(domain_wall_config(8), chain(2.0, N=8), t_out, n_traj=2, seed=0)
+
+    def test_configuration_length_must_match(self):
+        with pytest.raises(ValueError, match="10 sites.*params.N = 12"):
+            kmc_simulate(domain_wall_config(10), chain(2.0, N=12), [0.5], n_traj=2, seed=0)
 
     def test_unbiased_vs_enumerated_generator(self):
         # 6 sites, 3 particles: the full many-body generator fits in memory
