@@ -82,7 +82,7 @@ class TestConfiguration:
 
 
 class TestKmc:
-    def test_particle_count_conserved(self):
+    def test_particle_count_conserved_along_trajectory(self):
         p = chain(2.0, N=32)
         n_traj = 7
         res = kmc_simulate(domain_wall_config(32), p, np.linspace(0.05, 1.0, 12), n_traj, seed=11)
