@@ -7,7 +7,10 @@ where it suffices), :mod:`~levyexciton.analytic` (closed forms and asymptotics),
 :mod:`~levyexciton.quantum` (dephasing dynamics of the correlation matrix and
 weak-dephasing spectra), :mod:`~levyexciton.manybody` (the long-jump
 exclusion process), and :mod:`~levyexciton.cli` (the experiment runner).
+Solvers log work counts at DEBUG to the ``levyexciton`` logger, silent by default.
 """
+
+import logging
 
 from .model import ModelParams, classical_rate, hopping_amplitude
 from .analytic import (
@@ -46,6 +49,8 @@ from .quantum import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ModelParams",

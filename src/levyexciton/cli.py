@@ -10,7 +10,8 @@ live only in the manifest. No plotting: figures are produced externally.
 Exit codes: 0 success; 2 configuration error (a file configparser cannot
 read, unknown or unparseable keys, invalid model parameters, output times that
 are empty, repeated, negative or NaN, a negative seed for KMC trajectories,
-sizes below 2, a tail-fit window holding fewer than four sites), with no
+sizes below 2, a tail-fit window holding fewer than four sites, a kind or
+``method = spectral`` on a lattice its solver does not cover), with no
 manifest written; 3 solver error.
 """
 
@@ -42,6 +43,11 @@ EXPERIMENT_KINDS = (
 )
 
 SCHEMA_VERSION = "1"
+
+# the quantum layer and the exclusion process run on chains (d = 1) only
+_CHAIN_KINDS = {"quantum-variance": ("periodic", "open"), "spectrum": ("periodic",), "manybody-relax": ("open",)}
+# kinds that read RunOptions.method; "spectral" diagonalizes the ring
+_METHOD_KINDS = ("quantum-variance", "classical-profile", "classical-moments")
 
 
 class ConfigError(ValueError):
@@ -91,6 +97,12 @@ class ExperimentConfig:
         if not self.model.gamma > 0:
             # every kind uses kappa = 2 J^2/gamma or divides by gamma
             raise ConfigError(f"gamma must be positive, got {self.model.gamma}")
+        d, bc = self.model.d, self.model.bc
+        if self.kind in _CHAIN_KINDS and (d != 1 or bc not in _CHAIN_KINDS[self.kind]):
+            need = "|".join(_CHAIN_KINDS[self.kind])
+            raise ConfigError(f"{self.kind} needs d = 1 and bc = {need}, got d = {d}, bc = {bc}")
+        if self.run.method == "spectral" and bc != "periodic" and self.kind in _METHOD_KINDS:
+            raise ConfigError(f"method = spectral needs bc = periodic for {self.kind}")
         window = (self.run.fit_j_min, self.run.fit_j_max)
         if self.kind == "classical-profile" and None not in window:
             # the axis cut through the excited site, which tail_fit sees
@@ -290,16 +302,7 @@ def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.Densit
     origin = _origin(config)
     n0 = np.zeros(p.shape)
     n0[origin] = 1.0
-    start = classical.DensityProfile(0.0, n0, p.bc, origin)
-    nz = ts[ts > 0]
-    profs = classical.cme_integrate(start, p, nz) if nz.size else []
-    out = []
-    for t in ts:
-        if t == 0:
-            out.append(classical.DensityProfile(0.0, n0.copy(), p.bc, origin))
-        else:
-            out.append(profs[int(np.searchsorted(nz, t))])
-    return out
+    return classical.cme_integrate(classical.DensityProfile(0.0, n0, p.bc, origin), p, ts)
 
 
 def _run_classical_profile(config: ExperimentConfig, col: _Collector):
@@ -367,8 +370,6 @@ def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
 def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
     p = config.model
     run = config.run
-    if p.bc != "open" or p.d != 1:
-        raise ConfigError("manybody-relax requires d = 1 open bc")
     times = _time_grid(run) if run.times is not None else None
     sizes = run.n_list or [p.N]
     series = []

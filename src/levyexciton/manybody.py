@@ -176,8 +176,9 @@ def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.
     block W_odd[i, k] = w(|i - k|) - w(N-1-i-k) - delta_ik escape_i. One
     ``eigh`` of size N/2 then evolves every output time exactly, and
     n[N/2:] = 1/2 - y[::-1] makes mass N/2 and particle-hole symmetry exact
-    by construction. ``method="ode"`` reuses the adaptive classical
-    integrator as an independent cross-check. Either route refuses an
+    by construction. ``method="ode"`` reuses the classical propagator
+    (:func:`levyexciton.classical.cme_integrate`, a Chebyshev series in the
+    full generator) as an independent cross-check. Either route refuses an
     occupation outside [0, 1] by more than 1e-12.
     """
     if params.bc != "open" or params.d != 1:
@@ -207,13 +208,7 @@ def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.
         from .classical import cme_integrate
 
         n0 = domain_wall_config(N).occupations.astype(float)
-        nz = times > 0
-        out = np.empty((times.size, N))
-        if times[0] == 0:
-            out[0] = n0
-        profs = cme_integrate(n0, params, times[nz]) if nz.any() else []
-        for row, prof in zip(np.nonzero(nz)[0], profs):
-            out[row] = prof.values
+        out = np.array([prof.values for prof in cme_integrate(n0, params, times)])
     else:
         raise ValueError(f"unknown method {method!r}")
     lo, hi = float(out.min()), float(out.max())

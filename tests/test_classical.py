@@ -173,9 +173,9 @@ class TestOpenBcOracle:
 
     @pytest.mark.parametrize("d, N", [(1, 30), (2, 16)])
     def test_rhs_matches_dense_matvec(self, d, N):
-        # 2N - 1 = 59 and 31 are prime, so the right-hand side runs at the
-        # padded fast length; it must equal the assembled generator exactly
-        from levyexciton.classical import _make_rhs
+        # 2N - 1 = 59 and 31 are prime, so the generator runs at the padded
+        # fast length; it must equal the assembled generator exactly
+        from levyexciton.classical import _generator
         from levyexciton.model import open_kernel_and_escape
 
         p = mp(1.5, N=N, bc="open", d=d)
@@ -188,7 +188,99 @@ class TestOpenBcOracle:
         n = np.random.default_rng(0).random(p.n_sites)
         n /= n.sum()
         ref = W @ n - W.sum(axis=1) * n
-        assert np.max(np.abs(_make_rhs(p)(0.0, n) - ref)) <= 1e-15
+        apply, _ = _generator(p)
+        assert np.max(np.abs(apply(n.reshape(p.shape)).ravel() - ref)) <= 1e-15
+
+
+def distance_generator(p):
+    """The open-lattice generator assembled site by site from distances."""
+    coords = np.indices(p.shape).reshape(p.d, -1).T.astype(float)
+    r2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=-1)
+    W = np.zeros_like(r2)
+    W[r2 > 0] = p.kappa * r2[r2 > 0] ** (-p.alpha)
+    return W - np.diag(W.sum(axis=1))
+
+
+class TestChebyshevPropagator:
+    @pytest.mark.parametrize("d, N, alpha", [(1, 40, 1.5), (2, 9, 1.5), (3, 6, 2.0)])
+    def test_open_matches_dense_eigh(self, d, N, alpha):
+        p = mp(alpha, N=N, bc="open", d=d)
+        lam, U = np.linalg.eigh(distance_generator(p))
+        start = delta_profile(p, 0)
+        ts = np.array([0.0, 0.05, 0.3, 1.0, 4.0]) / p.kappa
+        profs = cme_integrate(start, p, ts)
+        c = U.T @ start.values.ravel()
+        for prof, t in zip(profs, ts):
+            ref = U @ (np.exp(lam * t) * c)
+            assert np.max(np.abs(prof.values.ravel() - ref)) <= 1e-14
+        np.testing.assert_array_equal(profs[0].values, start.values)
+
+    @pytest.mark.parametrize("alpha, N", [(1.0, 64), (2.0, 65), (1.5, 16)])
+    def test_ring_matches_spectral_at_long_times(self, alpha, N):
+        # kappa t up to 500 puts z = a t in the thousands, where K ~ sqrt(z)
+        p = mp(alpha, N=N)
+        ts = np.array([0.1, 1.0, 10.0, 100.0, 500.0]) / p.kappa
+        for prof, t in zip(cme_integrate(delta_profile(p), p, ts), ts):
+            assert np.max(np.abs(prof.values - cme_spectral_solve(p, t).values)) <= 1e-13
+
+    def test_ring_matches_spectral_in_d2(self):
+        p = mp(1.5, N=12, d=2)
+        t = 3.0 / p.kappa
+        prof = cme_integrate(delta_profile(p, (0, 0)), p, [t])[0]
+        assert np.max(np.abs(prof.values - cme_spectral_solve(p, t).values)) <= 1e-14
+
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 4.0, 30.0, 2e3])
+    def test_term_count_is_the_smallest_certified_one(self, z):
+        from scipy.special import ive
+
+        from levyexciton.classical import TRUNCATION, _term_count
+
+        K = _term_count(z)
+        tail = lambda k: 2.0 * float(np.sum(ive(np.arange(k + 1, k + 400), z)))  # noqa: E731
+        assert tail(K) <= TRUNCATION < tail(K - 1)
+
+    def test_negativity_breach_raises(self):
+        p = mp(2.0, N=16)
+        n0 = np.zeros(16)
+        n0[0], n0[1] = 1.0, -1e-3  # a negative occupation is refused, not clipped
+        with pytest.raises(IntegrationError, match="negativity"):
+            cme_integrate(n0, p, [0.0, 1.0])
+
+    def test_mass_breach_raises(self, monkeypatch):
+        from levyexciton import classical
+
+        generator = classical._generator
+
+        def leaky(p):
+            apply, a = generator(p)
+            return (lambda n: apply(n) - 0.01 * a * n), a
+
+        monkeypatch.setattr(classical, "_generator", leaky)
+        p = mp(2.0, N=16)
+        with pytest.raises(IntegrationError, match="mass drifted"):
+            cme_integrate(delta_profile(p), p, [1.0])
+
+    def test_logs_work_and_pins_figS2_d3_cost(self, caplog):
+        # the figS2 d = 3 lattice: a, z_max, K and the convolution count go to
+        # the silent-by-default package logger at DEBUG
+        import logging
+        import re
+
+        p = mp(2.0, N=30, bc="open", d=3)
+        start = delta_profile(p, 0)
+
+        def convolutions(ts):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="levyexciton"):
+                cme_integrate(start, p, ts)
+            (rec,) = [r for r in caplog.records if r.name == "levyexciton.classical"]
+            assert re.search(r"a = \S+, z_max = \S+, K = \d+", rec.getMessage())
+            return int(re.search(r"convolutions = (\d+)", rec.getMessage()).group(1))
+
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("levyexciton").handlers)
+        one = convolutions([1.25])
+        assert one <= 30
+        assert convolutions([0.625, 1.25]) <= one
 
 
 class TestRingVarianceIdentity:

@@ -360,6 +360,35 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, model, run_line",
+        [
+            ("quantum-variance", "d = 2", ""),
+            ("spectrum", "d = 2", ""),
+            ("spectrum", "bc = open", ""),
+            ("manybody-relax", "N = 64", ""),
+            ("quantum-variance", "bc = open", "method = spectral"),
+            ("classical-profile", "bc = open", "method = spectral"),
+            ("classical-moments", "bc = open", "method = spectral"),
+        ],
+        ids=["qv-d2", "spectrum-d2", "spectrum-open", "relax-ring", "qv-spectral-open",
+             "profile-spectral-open", "moments-spectral-open"],
+    )
+    def test_kind_off_its_geometry_exit_2(self, tmp_path, kind, model, run_line, capsys):
+        # refused at config time, before the run creates its output directory
+        key = model.split(" = ")[0]
+        rows = [model if row.startswith(key + " = ") else row for row in CONFIG_TEXT.splitlines()]
+        text = "\n".join(rows).replace("classical-profile", kind)
+        text = text.replace("out = {out}", "out = {out}\n" + run_line)
+        assert main(["--config", str(write_config(tmp_path, text=text + "\n"))]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_geometry_override_exit_2(self, tmp_path, capsys):
+        assert main(["--preset", "fig1b", "--out", str(tmp_path / "out"), "--dim", "2"]) == 2
+        assert "quantum-variance needs d = 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tail_window_follows_the_excitation(self, tmp_path):
         # sites 30..40 from a corner of a 64-site open chain hold 11 sites
         text = (

@@ -194,6 +194,16 @@ class TestOccupation:
         b = occupation_evolution(p, [0.4, 1.5], method="ode")
         assert np.max(np.abs(a - b)) < 1e-8
 
+    @pytest.mark.parametrize("alpha, N", [(1.25, 32), (1.5, 48)])
+    def test_methods_agree_to_rounding(self, alpha, N):
+        # companion of the test above: the odd-sector eigh and the Chebyshev
+        # series in the full generator are both exact up to rounding
+        p = chain(alpha, N=N)
+        ts = [0.0, 0.5, 2.0, 8.0, 100.0]
+        a = occupation_evolution(p, ts, method="eig")
+        b = occupation_evolution(p, ts, method="ode")
+        assert np.max(np.abs(a - b)) <= 1e-13
+
     def test_flat_stationary_profile(self):
         p = chain(1.0, N=32)
         traj = occupation_evolution(p, [1e6])[0]
