@@ -20,21 +20,10 @@ import numpy as np
 from scipy.special import wofz
 
 from .model import ModelParams, finite_displacement_norms
-from .special import (
-    _upper_gamma,
-    _zeta_any,
-    DAWSON_STABILITY_RADIUS,
-    gamma_fn,
-    lambert_w_m1,
-    polylog_circle,
-    riemann_zeta,
-)
+from .special import _epstein_cos, _zeta_any, DAWSON_STABILITY_RADIUS, gamma_fn, lambert_w_m1
+from .special import riemann_zeta
 
 _INTEGER_TOL = 1e-9
-
-# half-width of the image cube in both Ewald sums: the first omitted term is
-# below exp(-pi 4.5^2) ~ 1e-28 of the kept ones
-_EWALD_CUBE = 4
 
 
 def _is_integer(x: float) -> bool:
@@ -42,26 +31,6 @@ def _is_integer(x: float) -> bool:
 
 
 # -- lattice sums ----------------------------------------------------------------
-
-
-def _epstein_cos(s: float, d: int, q) -> float:
-    """sum over nonzero r in Z^d of cos(q.r) |r|^(-s), s > d, by Ewald splitting.
-
-    Epstein's theta split at unit scale gives pi^(s/2) / Gamma(s/2) times
-    T1 + T2 - 2/s with T1 = sum_{r != 0} cos(q.r) Gamma(s/2, pi r^2) (pi r^2)^(-s/2)
-    and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|;
-    a term with u -> 0 is its limit 2/(s - d). Both sums run over the cube |n_i| <= 4.
-    """
-    axis = np.arange(-_EWALD_CUBE, _EWALD_CUBE + 1, dtype=float)
-    n = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    x = math.pi * np.sum(n**2, axis=1)
-    nz = x > 0
-    t1 = np.sum(np.cos(n[nz] @ q) * _upper_gamma(s / 2.0, x[nz]) * x[nz] ** (-s / 2.0))
-    x = math.pi * np.sum((n + q / (2.0 * math.pi)) ** 2, axis=1)
-    xp = x ** ((s - d) / 2.0)
-    far = xp > 1e-300  # nearer terms equal their u -> 0 limit to double precision
-    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[far]) * xp[far]) + np.count_nonzero(~far) * 2.0 / (s - d)
-    return float(math.pi ** (s / 2.0) / gamma_fn(s / 2.0) * (t1 + t2 - 2.0 / s))
 
 
 def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") -> float:
@@ -89,10 +58,11 @@ def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") ->
 class StructureFunction:
     """Dimensionless structure function A(q)/kappa = sum_{r!=0} r^(-2a) cos(q.r).
 
-    d = 1 evaluates through the polylogarithm on the unit circle; d >= 2 uses
-    the Ewald (Epstein theta) split of the lattice sum, whose q = 0 value is
-    :func:`lattice_sum`. Evaluation is read-only and safe to share across
-    workers. ``radius`` is accepted for compatibility and ignored.
+    Every d uses the Ewald (Epstein theta) split of the lattice sum
+    (``special._epstein_cos``, whose d = 1 case is 2 Re Li_{2 alpha}(e^{iq}));
+    q = 0 returns ``a0``, the :func:`lattice_sum`. Evaluation is read-only and
+    safe to share across workers. ``radius`` is accepted for compatibility
+    and ignored.
     """
 
     def __init__(self, params: ModelParams, radius: int | None = None):
@@ -112,8 +82,8 @@ def structure_function_eval(sf: StructureFunction, q) -> float:
         raise ValueError(f"momentum must have {p.d} components, got {q.size}")
     if np.max(np.abs(q)) > math.pi + 1e-12:
         raise ValueError("momentum components must lie in [-pi, pi]")
-    if p.d == 1:
-        return 2.0 * polylog_circle(2 * p.alpha, float(q[0])).real
+    if not q.any():
+        return sf.a0
     return _epstein_cos(2 * p.alpha, p.d, q)
 
 
@@ -149,14 +119,15 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
     qn = float(np.sqrt(np.sum(qv**2)))
 
     if d == 1:
+        C = levy_coefficient_d1(a, 1.0)
         if _is_integer(a):
             n = int(round(a))
-            value = (-1.0) ** n * math.pi / math.factorial(2 * n - 1) * qn ** (2 * n - 1)
+            value = -C * qn ** (2 * n - 1)
             for j in range(0, n + 1):
                 zj = -0.5 if j == n else riemann_zeta(2 * n - 2 * j)
                 value += 2.0 * (-1.0) ** j * zj * qn ** (2 * j) / math.factorial(2 * j)
             return SmallQExpansion(value, "exact", "d1-integer")
-        if _is_integer(2 * a):
+        if C is None:  # half-integer alpha
             s = int(round(a - 0.5))
             if qn == 0.0:
                 return SmallQExpansion(2.0 * riemann_zeta(2 * s + 1), "O(q^4)", "d1-half-integer")
@@ -169,22 +140,20 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
                     - riemann_zeta(2 * s - 1) * qn**2
                 )
             return SmallQExpansion(value, "O(q^4)", "d1-half-integer")
-        c_over_kappa = -2.0 * gamma_fn(1.0 - 2 * a) * math.sin(math.pi * a)
-        value = -c_over_kappa * qn ** (2 * a - 1)
+        value = -C * qn ** (2 * a - 1)
         value += 2.0 * _zeta_any(2 * a)
         value -= _zeta_any(2 * a - 2) * qn**2
         return SmallQExpansion(value, "O(q^4)", "d1-generic")
 
     # d >= 2: continuum singular power about q = 0
     params.require_thermodynamic()
-    if _is_integer(a - d / 2.0) and a - d / 2.0 >= 0:
+    C = levy_coefficient_continuum(a, d, 1.0)
+    if C is None:
         raise ValueError(
             f"continuum expansion has a pole at alpha = {a} for d = {d}; "
             "evaluate the structure function directly"
         )
-    a0 = lattice_sum(2 * a, d)
-    sing = math.pi ** (d / 2.0) * 2.0 ** (d - 2 * a) * gamma_fn(d / 2.0 - a) / gamma_fn(a)
-    value = a0 + sing * qn ** (2 * a - d)
+    value = lattice_sum(2 * a, d) - C * qn ** (2 * a - d)
     alpha_cr = (d + 2) / 2.0
     if a > alpha_cr:
         value -= 0.5 * lattice_sum(2 * a - 2, d) * qn**2

@@ -177,8 +177,7 @@ def cme_spectral_solve(params: ModelParams, t: float) -> DensityProfile:
     """
     if params.bc != "periodic":
         raise ValueError("spectral solve requires periodic bc")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    (t,) = output_times(t)
     lam = _ring_eigenvalues(params)
     values = ifftn(np.exp(lam * t)).real
     return DensityProfile(float(t), values, params.bc, origin=(0,) * params.d)

@@ -9,10 +9,10 @@ live only in the manifest. No plotting: figures are produced externally.
 
 Exit codes: 0 success; 2 configuration error (a file configparser cannot
 read, unknown or unparseable keys, invalid model parameters, output times that
-are empty, repeated, negative or NaN, a negative seed for KMC trajectories,
-sizes below 2, a tail-fit window holding fewer than four sites, a kind or
-``method = spectral`` on a lattice its solver does not cover), with no
-manifest written; 3 solver error.
+are empty, repeated, negative, NaN or infinite, a negative seed for KMC
+trajectories, sizes below 2, a tail-fit window with one bound or holding fewer
+than four sites, a kind or ``method = spectral`` on a lattice its solver does
+not cover), with no manifest written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} needs d = 1 and bc = {need}, got d = {d}, bc = {bc}")
         if self.run.method == "spectral" and bc != "periodic" and self.kind in _METHOD_KINDS:
             raise ConfigError(f"method = spectral needs bc = periodic for {self.kind}")
+        if self.run.times is not None or self.kind in _METHOD_KINDS:
+            _time_grid(self.run, default_t_max=1.0)  # refuse a bad grid before the run writes
         window = (self.run.fit_j_min, self.run.fit_j_max)
+        if self.kind == "classical-profile" and window.count(None) == 1:
+            raise ConfigError(f"tail-fit window needs both fit_j_min and fit_j_max, got {window}")
         if self.kind == "classical-profile" and None not in window:
             # the axis cut through the excited site, which tail_fit sees
             cut = classical.DensityProfile(0.0, np.zeros(self.model.N), self.model.bc, _origin(self)[:1])
@@ -249,7 +253,8 @@ def _time_grid(run: RunOptions, default_t_max: float | None = None) -> np.ndarra
         if run.times is not None:
             return output_times(np.sort(np.asarray(run.times, dtype=float)))
         t_max = run.t_max if run.t_max is not None else default_t_max
-        return output_times(np.linspace(0.0, t_max, run.n_times))
+        with np.errstate(invalid="ignore"):  # an infinite t_max gives NaN, which output_times refuses
+            return output_times(np.linspace(0.0, t_max, run.n_times))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

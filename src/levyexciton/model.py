@@ -131,12 +131,12 @@ class ModelParams:
 def output_times(t) -> np.ndarray:
     """A propagator's output times as a float array.
 
-    Every propagator starts at t = 0 and runs forward, so the grid must be
-    non-empty, strictly increasing and non-negative (NaN fails both).
+    Every propagator starts at t = 0 and runs forward to a finite time, so the
+    grid must be non-empty, finite, strictly increasing and non-negative.
     """
     grid = np.atleast_1d(np.asarray(t, dtype=float))
-    if grid.size == 0 or not (np.all(np.diff(grid) > 0) and grid[0] >= 0):
-        raise ValueError("output times must be strictly increasing and non-negative")
+    if grid.size == 0 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0) and grid[0] >= 0):
+        raise ValueError("output times must be finite, strictly increasing and non-negative")
     return grid
 
 

@@ -40,6 +40,8 @@ EIG_RESIDUAL_TOL = 1e-8
 DEGENERACY_GAP = 1e-8
 SECULAR_MAX_SWEEPS = 200
 SORT_TIE_TOL = 1e-10
+ODE_RTOL = 1e-10  # DOP853 tolerances of propagate_G
+ODE_ATOL = 1e-12
 
 
 class PropagationError(RuntimeError):
@@ -124,16 +126,11 @@ def _check_G(G: np.ndarray, trace0: float, t: float):
         raise PropagationError(f"negative population {dmin:.3e} at t = {t}")
 
 
-def propagate_G(
-    G0: CorrelationMatrix,
-    params: ModelParams,
-    t_grid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> list[CorrelationMatrix]:
+def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> list[CorrelationMatrix]:
     """Adaptive integration of the dephasing equation of motion.
 
-    Output times must be strictly increasing and non-negative
+    DOP853 runs at the module tolerances ``ODE_RTOL`` and ``ODE_ATOL``.
+    Output times must be strictly increasing, non-negative and finite
     (``ValueError`` otherwise). Hermiticity, trace conservation, and
     population positivity are asserted at every output time; a breach raises
     :class:`PropagationError`.
@@ -159,8 +156,8 @@ def propagate_G(
             Y[:, 0],
             t_eval=t_grid,
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=ODE_RTOL,
+            atol=ODE_ATOL,
         )
         if not sol.success:
             raise PropagationError(f"integrator failed: {sol.message}")
@@ -551,8 +548,8 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_lim
     G(0) over the center coordinate, project each momentum component on the
     left eigenvectors P v_j of its block (P the reflection m -> -m), damp each
     coefficient by e^{-E t}, and transform back. Output times must be
-    strictly increasing and non-negative; hermiticity, trace and population
-    positivity are checked at every one, as in :func:`propagate_G`, which it
+    strictly increasing, non-negative and finite; hermiticity, trace and
+    population positivity are checked at every one, as in :func:`propagate_G`, which it
     agrees with. An ill-conditioned eigenbasis raises
     :class:`ConditioningError` with the offending block.
     """

@@ -2,19 +2,21 @@
 
 Provides the Riemann zeta function (s > 1), the polylogarithm on the unit
 circle Li_beta(e^{iq}), the gamma function, the -1 branch of the Lambert W
-function, and the Dawson integral at complex argument. Complex values are
-plain Python/NumPy ``complex``.
+function, the Dawson integral at complex argument, and the Ewald lattice
+sums behind the structure function. Complex values are plain Python/NumPy
+``complex``.
 
 Zeta and Dawson wrap ``scipy.special`` (``zeta``, ``dawsn``); the alpha = 1
-ring profile calls ``scipy.special.wofz`` directly. The upper incomplete
-gamma ``_upper_gamma`` of the Ewald lattice sums is ``gammaincc * gamma`` for
-positive order; the negative orders that ``gammaincc`` refuses come by
-recurrence from the fractional part, or from ``exp1`` at integer order. Two
-stay hand-written:
-
-* :func:`polylog_circle`: scipy has no polylogarithm.
-* :func:`lambert_w_m1`: ``scipy.special.lambertw(y, -1)`` is NaN at
-  y = -1/e and off by 2.3e-5 relative at y = -1/e + 1e-10.
+ring profile calls ``scipy.special.wofz`` directly. scipy has no
+polylogarithm: :func:`polylog_circle` is the d = 1 case of the Epstein theta
+(Ewald) split, ``_epstein_cos`` for its real part and ``_epstein_sin`` for
+its imaginary part; ``_epstein_cos`` also carries every d >= 2 structure
+function value and lattice sum. Their upper incomplete gamma
+``_upper_gamma`` is ``gammaincc * gamma`` for positive order; the negative
+orders that ``gammaincc`` refuses come by recurrence from the fractional
+part, or from ``exp1`` at integer order. One stays hand-written:
+:func:`lambert_w_m1`, because ``scipy.special.lambertw(y, -1)`` is NaN at
+y = -1/e and off by 2.3e-5 relative at y = -1/e + 1e-10.
 
 Tolerances are contracts: zeta and gamma to 1e-12, polylog to 1e-10 absolute,
 Dawson to 1e-9 inside the documented stability radius. Internal targets aim
@@ -23,6 +25,7 @@ one decade tighter.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -50,7 +53,8 @@ def _zeta_any(s: float) -> float:
     """zeta on the real line away from s = 1 (internal helper).
 
     The public contract of :func:`riemann_zeta` stays s > 1; values at and
-    below 1 are needed only inside the small-q polylog expansion.
+    below 1 are needed only inside the d = 1 small-q expansion of the
+    structure function.
     """
     s = float(s)
     if s == 1:
@@ -69,87 +73,26 @@ def gamma_fn(x: float) -> float:
 # -- polylogarithm on the unit circle ------------------------------------------
 
 
-def _polylog_small_q(beta: float, q: float, n_terms: int = 30) -> complex:
-    """Convergent expansion of Li_beta(e^{iq}) about q = 0 (|q| < 2 pi).
-
-    Non-integer beta uses the singular term Gamma(1-beta) (-iq)^(beta-1) plus
-    the zeta Taylor series; integer beta replaces the colliding term by the
-    harmonic-logarithmic one.
-    """
-    iq = 1j * q
-    nearest = round(beta)
-    if abs(beta - nearest) > 1e-9:
-        out = gamma_fn(1.0 - beta) * (-iq) ** (beta - 1.0)
-        fac = 1.0 + 0.0j
-        for j in range(n_terms):
-            if j > 0:
-                fac *= iq / j
-            out += _zeta_any(beta - j) * fac
-        return out
-    n = int(nearest)
-    harm = sum(1.0 / i for i in range(1, n))
-    out = iq ** (n - 1) / math.factorial(n - 1) * (harm - np.log(-iq))
-    fac = 1.0 + 0.0j
-    for j in range(n_terms):
-        if j > 0:
-            fac *= iq / j
-        if j == n - 1:
-            continue
-        out += _zeta_any(n - j) * fac
-    return out
-
-
-def _polylog_series_abel(beta: float, q: float, tol: float = 1e-12) -> complex:
-    """Direct series with an iterated summation-by-parts tail (|q| >= ~0.5).
-
-    The head is summed to K chosen so the certified tail bound
-    (beta)_(m-1) K^(1-beta-m) / |1-z|^m drops below ``tol``.
-    """
-    z = np.exp(1j * q)
-    one_minus = 1.0 - z
-    az = abs(one_minus)
-    m = 12
-    poch = 1.0
-    for i in range(m - 1):
-        poch *= beta + i
-    K = int(max(48, (poch / (tol * az**m)) ** (1.0 / (beta + m - 1)))) + 1
-    k = np.arange(1, K + 1, dtype=float)
-    head = complex(np.sum(np.exp(1j * q * k) * k**-beta))
-    c = (K + 1 + np.arange(0, m + 1, dtype=float)) ** -beta
-    diffs = [c]
-    for _ in range(m - 1):
-        prev = diffs[-1]
-        diffs.append(prev[:-1] - prev[1:])
-    tail = 0.0 + 0.0j
-    fac = 1.0 / one_minus
-    for j in range(m):
-        tail += diffs[j][0] * fac
-        fac *= -z / one_minus
-    return head + tail * np.exp(1j * q * (K + 1))
-
-
 def polylog_circle(beta: float, q: float) -> complex:
     """Li_beta(e^{iq}) for q in (-pi, pi].
 
     At q = 0 the series is zeta(beta) and requires beta > 1; elsewhere any
-    beta > 0 is admitted. Absolute accuracy 1e-10 or better.
+    beta > 0 is admitted (for beta <= 1 the value grows without bound as
+    q -> 0 and overflows below |q| ~ 1e-161). Absolute accuracy 1e-10 or
+    better. The real and imaginary parts are the d = 1 Ewald sums
+    :func:`_epstein_cos` and :func:`_epstein_sin`, halved.
     """
     beta = float(beta)
     q = float(q)
     if beta <= 0:
         raise ValueError(f"polylog order must be positive, got {beta}")
-    q = (q + math.pi) % (2.0 * math.pi) - math.pi
-    if q == -math.pi:  # reduction maps the endpoint to -pi; the domain keeps +pi
-        q = math.pi
+    if not -math.pi < q <= math.pi:  # reducing an inner q would round a small one away
+        q = (q + math.pi) % (2.0 * math.pi) - math.pi
     if q == 0.0:
         if beta <= 1:
             raise ValueError("Li_beta(1) diverges for beta <= 1")
         return complex(riemann_zeta(beta), 0.0)
-    if q < 0:
-        return polylog_circle(beta, -q).conjugate()
-    if q < 0.5:
-        return _polylog_small_q(beta, q)
-    return _polylog_series_abel(beta, q)
+    return complex(0.5 * _epstein_cos(beta, 1, np.array([q])), 0.5 * _epstein_sin(beta, q))
 
 
 # -- Lambert W, branch -1 -------------------------------------------------------
@@ -226,7 +169,70 @@ def _upper_gamma(a: float, x):
         return sc.gammaincc(a, x) * sc.gamma(a)
     b = a - math.floor(a)
     g = sc.exp1(x) if b == 0.0 else sc.gammaincc(b, x) * sc.gamma(b)
+    e = np.exp(-x)
     for _ in range(round(b - a)):
         b -= 1.0
-        g = (g - x**b * np.exp(-x)) / b
+        g = (g - x**b * e) / b
     return g
+
+
+# -- Ewald (Epstein theta) lattice sums -----------------------------------------
+
+# half-width of the image cube in both Ewald sums: the first omitted term is
+# below exp(-pi 4.5^2) ~ 1e-28 of the kept ones
+_EWALD_CUBE = 4
+_EWALD_AXIS = np.arange(-_EWALD_CUBE, _EWALD_CUBE + 1, dtype=float)
+
+
+def _ewald_cube(d: int):
+    """The cube's points n as rows, and its nonzero points r with pi r^2."""
+    n = np.array(list(itertools.product(_EWALD_AXIS, repeat=d)))
+    x = math.pi * np.sum(n**2, axis=1)
+    return n, n[x > 0], x[x > 0]
+
+
+_EWALD_CUBES = {d: _ewald_cube(d) for d in (1, 2, 3)}
+
+
+def _epstein_cos(s: float, d: int, q) -> float:
+    """sum over nonzero r in Z^d of cos(q.r) |r|^(-s) by Ewald splitting.
+
+    Epstein's theta split at unit scale gives pi^(s/2) / Gamma(s/2) times
+    T1 + T2 - 2/s with T1 = sum_{r != 0} cos(q.r) Gamma(s/2, pi r^2) (pi r^2)^(-s/2)
+    and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|;
+    a term with u -> 0 is its limit 2/(s - d). Both sums run over the cube |n_i| <= 4.
+    q = 0 needs s > d; off the reciprocal lattice 2 pi Z^d any s is admitted
+    while pi u^2 stays above double-precision underflow.
+    """
+    n, r, x = _EWALD_CUBES[d]
+    t1 = np.sum(np.cos(r @ q) * _upper_gamma(s / 2.0, x) * x ** (-s / 2.0))
+    u = n + q / (2.0 * math.pi)
+    x = math.pi * np.einsum("ij,ij->i", u, u)
+    xp = x ** ((s - d) / 2.0)
+    far = xp > 1e-300  # nearer terms equal their u -> 0 limit to double precision
+    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[far]) * xp[far])
+    if not far.all():
+        t2 += np.count_nonzero(~far) * 2.0 / (s - d)
+    return float(math.pi ** (s / 2.0) / gamma_fn(s / 2.0) * (t1 + t2 - 2.0 / s))
+
+
+def _epstein_sin(s: float, q: float) -> float:
+    """sum over nonzero k in Z of sgn(k) sin(qk) |k|^(-s), q off 2 pi Z, by the same split.
+
+    With b = (s + 1)/2 and a = 3/2 - b it is pi^b / Gamma(b) times S1 + S2 with
+    S1 = sum_{k != 0} k sin(qk) Gamma(b, pi k^2) (pi k^2)^(-b) and
+    S2 = sum_m u Gamma(a, pi u^2) (pi u^2)^(-a), u = m + q/2pi; there is no
+    constant term.
+    """
+    b = (s + 1.0) / 2.0
+    _, k, x = _EWALD_CUBES[1]
+    k = k.ravel()
+    s1 = np.sum(k * np.sin(q * k) * _upper_gamma(b, x) * x**-b)
+    a = 1.5 - b
+    u = _EWALD_AXIS + q / (2.0 * math.pi)
+    x = math.pi * u**2
+    w = np.sign(u) * np.abs(u) ** (s - 1.0) * math.pi**-a  # u x^(-a), finite as u -> 0
+    # for a <= 0, Gamma(a, x) overflows as u -> 0, where the term is O(u): drop it
+    keep = (x > 0) & (x**-a > 1e-300) if a <= 0 else slice(None)
+    s2 = np.sum(_upper_gamma(a, x[keep]) * w[keep])
+    return float(math.pi**b / gamma_fn(b) * (s1 + s2))

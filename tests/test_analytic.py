@@ -1,13 +1,12 @@
-import math
-
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyexciton.analytic import (
-    _epstein_cos,
     CrossoverScales,
     StructureFunction,
     asymptotic_profile,
@@ -22,7 +21,7 @@ from levyexciton.analytic import (
     structure_function_eval,
 )
 from levyexciton.model import ModelParams
-from levyexciton.special import DAWSON_STABILITY_RADIUS, polylog_circle, riemann_zeta
+from levyexciton.special import _epstein_cos, DAWSON_STABILITY_RADIUS, riemann_zeta
 
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
@@ -201,13 +200,49 @@ def epstein_mpmath_oracle(s: float, d: int, q, R: int = 4) -> float:
         return float(mpmath.pi ** (s / 2) / mpmath.gamma(s / 2) * (t1 + t2 - 2 / s))
 
 
+def cosine_sum_mpmath_oracle(s: float, q: float) -> float:
+    """2 Re Li_s(e^{iq}) = sum_{k != 0} cos(qk) |k|^(-s) in 30-digit mpmath.
+
+    Integer s calls ``mpmath.polylog``; other s use the equal and much faster
+    Hurwitz-zeta form 2 Gamma(1 - s) (2 pi)^(s - 1) sin(pi s / 2)
+    [zeta(1 - s, x) + zeta(1 - s, 1 - x)], x = q / 2 pi (DLMF 25.13.2).
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    with mpmath.workdps(30):
+        s, q = mpmath.mpf(s), mpmath.mpf(float(q))
+        if q == 0:
+            return float(2 * mpmath.zeta(s))
+        if s == int(s):
+            return float(2 * mpmath.re(mpmath.polylog(s, mpmath.exp(1j * q))))
+        x = q / (2 * mpmath.pi)
+        hurwitz = mpmath.zeta(1 - s, x) + mpmath.zeta(1 - s, 1 - x)
+        return float(2 * mpmath.gamma(1 - s) * (2 * mpmath.pi) ** (s - 1) * mpmath.sin(mpmath.pi * s / 2) * hurwitz)
+
+
 class TestEwaldRoute:
     @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
     def test_d1_matches_polylog_route(self, alpha):
         qs = np.linspace(0.0, math.pi, 257)
         ewald = np.array([_epstein_cos(2 * alpha, 1, np.array([q])) for q in qs])
-        poly = np.array([2.0 * polylog_circle(2 * alpha, q).real for q in qs])
+        poly = np.array([cosine_sum_mpmath_oracle(2 * alpha, q) for q in qs])
         np.testing.assert_allclose(ewald, poly, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_order_equal_to_dimension_is_finite(self, d):
+        # off q = 0 no u is 0, so the limit 2/(s - d), infinite at s = d, must not enter
+        q = np.array([0.9, -0.4, 2.0][:d])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _epstein_cos(float(d), d, q)
+        assert value == pytest.approx(epstein_mpmath_oracle(float(d), d, q), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.7, 3.0])
+    def test_d1_value_is_the_ewald_sum_and_a0_at_zero(self, alpha):
+        sf = StructureFunction(mp(alpha))
+        assert structure_function_eval(sf, 0.0) == sf.a0 == 2.0 * riemann_zeta(2 * alpha)
+        for q in (1e-170, 1e-6, 0.4, -2.9):
+            assert structure_function_eval(sf, q) == _epstein_cos(2 * alpha, 1, np.array([q]))
 
     def test_d3_small_q_matches_expansion(self):
         params = mp(1.75, d=3, N=16)

@@ -83,8 +83,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             cme_integrate(delta_profile(p), p, [2.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [[1.0, np.inf], [np.inf], [np.nan]])
+    def test_non_finite_time_refused(self, grid):
+        p = mp(2.0, N=16, bc="open")
+        with pytest.raises(ValueError, match="finite"):
+            cme_integrate(delta_profile(p), p, grid)
+
 
 class TestSpectral:
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, -1.0])
+    def test_bad_time_refused(self, t):
+        # exp(lambda t) at t = inf is a profile of NaN
+        with pytest.raises(ValueError, match="finite, strictly increasing and non-negative"):
+            cme_spectral_solve(mp(2.0, N=16), t)
+
     def test_t0_delta(self):
         p = mp(1.0, N=128)
         prof = cme_spectral_solve(p, 0.0)

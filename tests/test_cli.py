@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -358,6 +359,37 @@ class TestMain:
         )
         assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, bc, run_lines",
+        [
+            ("classical-profile", "periodic", "times = 1.0, inf"),
+            ("classical-profile", "open", "times = 1.0, inf"),
+            ("manybody-relax", "open", "times = 1.0, inf\ntrajectories = 4"),
+            ("classical-moments", "periodic", "t_max = inf"),
+        ],
+        ids=["profile-ring", "profile-open", "relax-kmc", "moments-t-max"],
+    )
+    def test_infinite_output_time_exit_2(self, tmp_path, kind, bc, run_lines, capsys):
+        # no propagator reaches t = inf (the KMC event loop would never stop)
+        text = (
+            CONFIG_TEXT.replace("classical-profile", kind)
+            .replace("times = 2.5, 5.0", run_lines)
+            .replace("N = 128\nbc = periodic", f"N = 16\nbc = {bc}")
+            .replace("fit_j_min = 8\nfit_j_max = 40\n", "")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the check, not by a numpy warning
+            assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("drop", ["fit_j_min = 8\n", "fit_j_max = 40\n"], ids=["no-min", "no-max"])
+    def test_half_tail_window_exit_2(self, tmp_path, drop, capsys):
+        # a window with one bound would fit nothing and write no tail_fits.csv
+        assert main(["--config", str(write_config(tmp_path, text=CONFIG_TEXT.replace(drop, "")))]) == 2
+        assert "needs both fit_j_min and fit_j_max" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

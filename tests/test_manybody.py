@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from levyexciton import manybody
 from levyexciton.manybody import (
     CHI2_FIT_WINDOW,
     FitWindowError,
@@ -121,12 +122,22 @@ class TestKmc:
 
     @pytest.mark.parametrize(
         "t_out",
-        [[], [1.0, 0.5], [0.5, 0.5], [-0.1, 1.0], [np.nan]],
-        ids=["empty", "unsorted", "repeated", "negative", "nan"],
+        [[], [1.0, 0.5], [0.5, 0.5], [-0.1, 1.0], [np.nan], [1.0, np.inf]],
+        ids=["empty", "unsorted", "repeated", "negative", "nan", "inf"],
     )
     def test_bad_output_times_rejected(self, t_out):
         with pytest.raises(ValueError):
             kmc_simulate(domain_wall_config(8), chain(2.0, N=8), t_out, n_traj=2, seed=0)
+
+    def test_infinite_output_time_refused_before_sampling(self, monkeypatch):
+        # the event loop never reaches t = inf, so the grid is refused before
+        # any trajectory's generator is made
+        def no_rng(seed, index):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(manybody, "trajectory_rng", no_rng)
+        with pytest.raises(ValueError, match="finite"):
+            kmc_simulate(domain_wall_config(16), chain(1.0, N=16), [1.0, np.inf], n_traj=4, seed=0)
 
     def test_configuration_length_must_match(self):
         with pytest.raises(ValueError, match="10 sites.*params.N = 12"):
@@ -216,7 +227,7 @@ class TestOccupation:
 
     @pytest.mark.parametrize("method", ["eig", "ode"])
     @pytest.mark.parametrize(
-        "times", [[-1.0], [np.nan], [], [1.0, 1.0]], ids=["negative", "nan", "empty", "repeated"]
+        "times", [[-1.0], [np.nan], [], [1.0, 1.0], [1.0, np.inf]], ids=["negative", "nan", "empty", "repeated", "inf"]
     )
     def test_bad_time_grid(self, method, times):
         with pytest.raises(ValueError, match="strictly increasing and non-negative"):

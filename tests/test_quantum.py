@@ -401,7 +401,7 @@ class TestSecularSolver:
 
 
 class TestPropagatorParity:
-    @pytest.mark.parametrize("grid", [[-1.0], [0.0, 2.0, 1.0], [1.0, 1.0], [np.nan]])
+    @pytest.mark.parametrize("grid", [[-1.0], [0.0, 2.0, 1.0], [1.0, 1.0], [np.nan], [1.0, np.inf]])
     @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
     def test_bad_time_grid_refused(self, propagate, grid):
         p = ring(2.0, 11)

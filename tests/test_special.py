@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from levyexciton.special import (
     DAWSON_STABILITY_RADIUS,
+    _epstein_sin,
     _upper_gamma,
     _zeta_any,
     dawson,
@@ -144,7 +146,7 @@ class TestPolylogCircle:
         assert b == pytest.approx(a.conjugate(), abs=1e-12)
 
     def test_branch_seam_consistency(self):
-        # the small-q expansion and the accelerated series must agree at the seam
+        # values on the two sides of q = 0.5 must join up
         for beta in (1.0, 1.5, 2.0, 3.3):
             lo = polylog_circle(beta, 0.4999999)
             hi = polylog_circle(beta, 0.5000001)
@@ -152,6 +154,33 @@ class TestPolylogCircle:
             mid_small = polylog_circle(beta, 0.49)
             mid_abel = polylog_circle(beta, 0.51)
             assert abs(mid_small - mid_abel) < 0.2  # smooth continuation, coarse guard
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 1.4, 2.0, 2.5, 3.0, 4.0, 6.2])
+    @pytest.mark.parametrize("q", [1e-6, 1e-3, -2.0, 0.3, 1.0, 2.5, math.pi])
+    def test_sine_sum_vs_mpmath(self, beta, q):
+        # beta = 6.2 steps Gamma(a, x) down from a = 0.4 to a = -2.6
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(2 * mpmath.im(mpmath.polylog(beta, mpmath.exp(1j * mpmath.mpf(q)))))
+        assert _epstein_sin(beta, q) == pytest.approx(ref, abs=1e-12)
+
+    def test_order_one_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in (1e-6, 0.3, -1.0, math.pi):
+                sawtooth = math.copysign(math.pi - abs(q), q) / 2  # Im Li_1(e^{iq})
+                assert polylog_circle(1.0, q).imag == pytest.approx(sawtooth, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.05, 1.5, 2.0, 3.0])
+    def test_tiny_q_is_not_rounded_to_zero(self, beta):
+        # a q inside (-pi, pi] is used as given: reducing 1e-170 mod 2 pi
+        # rounds it to 0 and loses the imaginary part, 5e-9 at beta = 1.05
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.polylog(beta, mpmath.exp(1j * mpmath.mpf(1e-170))))
+        got = polylog_circle(beta, 1e-170)
+        assert got.imag == pytest.approx(ref.imag, abs=1e-12)
+        assert got.real == pytest.approx(ref.real, rel=1e-8)
 
     def test_derivative_chain(self):
         # d/dq Re Li_beta(e^{iq}) = -Im Li_{beta-1}(e^{iq}) to 1e-6 by central differences
