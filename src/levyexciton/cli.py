@@ -8,11 +8,12 @@ Outputs are deterministic given the config (including the seed); timestamps
 live only in the manifest. No plotting: figures are produced externally.
 
 Exit codes: 0 success; 2 configuration error (a file configparser cannot
-read, unknown or unparseable keys, invalid model parameters, output times that
-are empty, repeated, negative, NaN or infinite, a negative seed for KMC
+read, unknown or unparseable keys, invalid model parameters, J = 0, output
+times that are empty, repeated, negative, NaN or infinite, a
+``classical-profile`` run without ``times``, a negative seed for KMC
 trajectories, sizes below 2, a tail-fit window with one bound or holding fewer
 than four sites, a kind or ``method = spectral`` on a lattice its solver does
-not cover), with no manifest written; 3 solver error.
+not cover), with nothing written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -27,27 +28,14 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analytic, classical, manybody, quantum
 from .model import ModelParams, output_times, sum_r2_hopping_sq, write_csv
 
-EXPERIMENT_KINDS = (
-    "quantum-variance",
-    "classical-profile",
-    "classical-moments",
-    "manybody-relax",
-    "spectrum",
-    "analytic-report",
-)
-
 SCHEMA_VERSION = "1"
-
-# the quantum layer and the exclusion process run on chains (d = 1) only
-_CHAIN_KINDS = {"quantum-variance": ("periodic", "open"), "spectrum": ("periodic",), "manybody-relax": ("open",)}
-# kinds that read RunOptions.method; "spectral" diagonalizes the ring
-_METHOD_KINDS = ("quantum-variance", "classical-profile", "classical-moments")
 
 
 class ConfigError(ValueError):
@@ -82,7 +70,8 @@ class ExperimentConfig:
     run: RunOptions = field(default_factory=RunOptions)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.run.excitation not in ("center", "edge"):
             raise ConfigError(f"excitation must be center|edge, got {self.run.excitation!r}")
@@ -97,14 +86,18 @@ class ExperimentConfig:
         if not self.model.gamma > 0:
             # every kind uses kappa = 2 J^2/gamma or divides by gamma
             raise ConfigError(f"gamma must be positive, got {self.model.gamma}")
+        if not self.model.kappa > 0:
+            # every kind's time scale is 1/kappa
+            raise ConfigError(f"kappa = 2 J^2/gamma must be positive, got J = {self.model.J}")
         d, bc = self.model.d, self.model.bc
-        if self.kind in _CHAIN_KINDS and (d != 1 or bc not in _CHAIN_KINDS[self.kind]):
-            need = "|".join(_CHAIN_KINDS[self.kind])
+        if kind.chain_bcs and (d != 1 or bc not in kind.chain_bcs):
+            need = "|".join(kind.chain_bcs)
             raise ConfigError(f"{self.kind} needs d = 1 and bc = {need}, got d = {d}, bc = {bc}")
-        if self.run.method == "spectral" and bc != "periodic" and self.kind in _METHOD_KINDS:
+        if self.run.method == "spectral" and bc != "periodic" and kind.propagates:
             raise ConfigError(f"method = spectral needs bc = periodic for {self.kind}")
-        if self.run.times is not None or self.kind in _METHOD_KINDS:
-            _time_grid(self.run, default_t_max=1.0)  # refuse a bad grid before the run writes
+        # refuse a bad or missing grid before the run writes
+        if _time_grid(self) is None and kind.propagates:
+            raise ConfigError(f"{self.kind} requires explicit output times")
         window = (self.run.fit_j_min, self.run.fit_j_max)
         if self.kind == "classical-profile" and window.count(None) == 1:
             raise ConfigError(f"tail-fit window needs both fit_j_min and fit_j_max, got {window}")
@@ -242,17 +235,20 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return {"kind": config.kind, "model": config.model.to_config(), "run": run}
 
 
-def _time_grid(run: RunOptions, default_t_max: float | None = None) -> np.ndarray:
-    """The run's output times: the sorted ``times``, else ``n_times`` points to t_max.
+def _time_grid(config: ExperimentConfig) -> np.ndarray | None:
+    """The run's output times, or None when it has none.
 
-    Without ``default_t_max`` the kind requires explicit ``times``.
+    The sorted ``times`` if given; else ``n_times`` points up to ``t_max``, or
+    up to the kind's horizon, for a kind that has one.
     """
-    if run.times is None and default_t_max is None:
-        raise ConfigError("this experiment kind requires explicit output times")
+    run = config.run
+    horizon = _KINDS[config.kind].horizon
     try:
         if run.times is not None:
             return output_times(np.sort(np.asarray(run.times, dtype=float)))
-        t_max = run.t_max if run.t_max is not None else default_t_max
+        if horizon is None:
+            return None
+        t_max = run.t_max if run.t_max is not None else horizon(config.model)
         with np.errstate(invalid="ignore"):  # an infinite t_max gives NaN, which output_times refuses
             return output_times(np.linspace(0.0, t_max, run.n_times))
     except ValueError as exc:
@@ -265,7 +261,7 @@ def _time_grid(run: RunOptions, default_t_max: float | None = None) -> np.ndarra
 def _run_quantum_variance(config: ExperimentConfig, col: _Collector):
     p = config.model
     run = config.run
-    ts = _time_grid(run, default_t_max=10.0 / p.gamma * 10.0)
+    ts = _time_grid(config)
     sizes = run.n_list or [p.N]
     primary = max(sizes)
     for N in sizes:
@@ -312,7 +308,7 @@ def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.Densit
 
 def _run_classical_profile(config: ExperimentConfig, col: _Collector):
     run = config.run
-    profs = _classical_trajectory(config, _time_grid(run))
+    profs = _classical_trajectory(config, _time_grid(config))
 
     def rows():
         # one row per site per output time: t, j1..jd, n. Every profile of the
@@ -341,8 +337,7 @@ def _run_classical_profile(config: ExperimentConfig, col: _Collector):
 
 def _run_classical_moments(config: ExperimentConfig, col: _Collector):
     p = config.model
-    ts = _time_grid(config.run, default_t_max=5.0 / p.kappa)
-    profs = _classical_trajectory(config, ts)
+    profs = _classical_trajectory(config, _time_grid(config))
 
     def rows():
         for prof in profs:
@@ -375,7 +370,7 @@ def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
 def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
     p = config.model
     run = config.run
-    times = _time_grid(run) if run.times is not None else None
+    times = _time_grid(config)
     sizes = run.n_list or [p.N]
     series = []
     for N in sizes:
@@ -432,7 +427,7 @@ def _run_spectrum(config: ExperimentConfig, col: _Collector):
     gaps_r, gaps_c, pert_min = [], [], []
     for N in sizes:
         pn = replace(p, N=N)
-        summary = quantum.slow_modes(pn, keep_sets=True)
+        summary = quantum.slow_modes(pn)
         gaps_r.append(summary.real_gap)
         gaps_c.append(summary.complex_gap)
         rows = quantum.spectrum_rows(summary.sets)
@@ -495,35 +490,44 @@ def _run_analytic_report(config: ExperimentConfig, col: _Collector):
     col.text("report.txt", config.run.tag, report)
 
 
-_DISPATCH = {
-    "quantum-variance": _run_quantum_variance,
-    "classical-profile": _run_classical_profile,
-    "classical-moments": _run_classical_moments,
-    "manybody-relax": _run_manybody_relax,
-    "spectrum": _run_spectrum,
-    "analytic-report": _run_analytic_report,
+class _Kind(NamedTuple):
+    """What the CLI knows about one experiment kind."""
+
+    runner: Callable[[ExperimentConfig, _Collector], None]
+    chain_bcs: tuple[str, ...]  # the d = 1 bcs its solvers cover; empty: any lattice
+    propagates: bool  # runs on the output-time grid, so reads method and needs a grid
+    horizon: Callable[[ModelParams], float] | None  # t_max when neither times nor t_max is set
+
+
+_KINDS = {
+    "quantum-variance": _Kind(_run_quantum_variance, ("periodic", "open"), True, lambda p: 10.0 / p.gamma * 10.0),
+    "classical-profile": _Kind(_run_classical_profile, (), True, None),
+    "classical-moments": _Kind(_run_classical_moments, (), True, lambda p: 5.0 / p.kappa),
+    "manybody-relax": _Kind(_run_manybody_relax, ("open",), False, None),
+    "spectrum": _Kind(_run_spectrum, ("periodic",), False, None),
+    "analytic-report": _Kind(_run_analytic_report, (), False, None),
 }
+
+
+def _execute(configs: list[ExperimentConfig], echo: dict) -> Path:
+    out_dir = Path(configs[0].run.out_dir)
+    if any(Path(c.run.out_dir) != out_dir for c in configs):
+        raise ConfigError("preset members must share one output directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    col = _Collector(out_dir, echo)
+    for c in configs:
+        _KINDS[c.kind].runner(c, col)
+    return col.write_manifest()
 
 
 def run(config: ExperimentConfig) -> Path:
     """Execute one experiment; returns the manifest path."""
-    out_dir = Path(config.run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    col = _Collector(out_dir, _config_echo(config))
-    _DISPATCH[config.kind](config, col)
-    return col.write_manifest()
+    return _execute([config], _config_echo(config))
 
 
 def run_many(configs: list[ExperimentConfig]) -> Path:
     """Execute a preset made of several configs into one directory."""
-    out_dir = Path(configs[0].run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    col = _Collector(out_dir, {"preset_members": [_config_echo(c) for c in configs]})
-    for c in configs:
-        if Path(c.run.out_dir) != out_dir:
-            raise ConfigError("preset members must share one output directory")
-        _DISPATCH[c.kind](c, col)
-    return col.write_manifest()
+    return _execute(configs, {"preset_members": [_config_echo(c) for c in configs]})
 
 
 # -- figure presets -------------------------------------------------------------------
@@ -636,34 +640,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# command-line flag (argparse dest) -> ModelParams field, and -> RunOptions field
+_MODEL_FLAGS = {"alpha": "alpha", "gamma": "gamma", "N": "N", "dim": "d", "bc": "bc"}
+_RUN_FLAGS = {"out": "out_dir", "seed": "seed", "t_max": "t_max", "trajectories": "trajectories"}
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    model_kw = {}
-    if args.alpha is not None:
-        model_kw["alpha"] = args.alpha
-    if args.gamma is not None:
-        model_kw["gamma"] = args.gamma
-    if args.N is not None:
-        model_kw["N"] = args.N
-    if args.dim is not None:
-        model_kw["d"] = args.dim
-    if args.bc is not None:
-        model_kw["bc"] = args.bc
+    def given(flags):
+        return {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
+
     try:
-        model = replace(config.model, **model_kw)
+        model = replace(config.model, **given(_MODEL_FLAGS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run_kw = {}
-    if args.out is not None:
-        run_kw["out_dir"] = args.out
-    if args.seed is not None:
-        run_kw["seed"] = args.seed
+    run_kw = given(_RUN_FLAGS)
     if args.t_max is not None:
-        run_kw["t_max"] = args.t_max
         run_kw["times"] = None
-    if args.trajectories is not None:
-        run_kw["trajectories"] = args.trajectories
-    run = replace(config.run, **run_kw) if run_kw else config.run
-    return ExperimentConfig(config.kind, model, run)
+    return ExperimentConfig(config.kind, model, replace(config.run, **run_kw))
 
 
 def main(argv=None) -> int:

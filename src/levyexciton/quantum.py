@@ -25,7 +25,7 @@ fallback. Blocks q and -q are transposes of each other, so only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -307,15 +307,16 @@ class SpectralSet:
     """Eigen-data of one momentum block C_q + gamma X.
 
     Eigenvalues are sorted by (Re E, Im E); eigenvectors are unit columns in
-    the site basis. ``condition`` is the certified upper bound
-    sqrt(N) ||kappa||_2 on the 2-norm condition number of the eigenvector
-    matrix, kappa_j being the eigenvalue condition numbers; ``solver`` says
-    which path produced the block, ``"secular"`` or ``"dense"``.
+    the site basis, or None in the blocks of :func:`slow_modes`.
+    ``condition`` is the certified upper bound sqrt(N) ||kappa||_2 on the
+    2-norm condition number of the eigenvector matrix, kappa_j being the
+    eigenvalue condition numbers; ``solver`` says which path produced the
+    block, ``"secular"`` or ``"dense"``.
     """
 
     q_index: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     branch: np.ndarray  # "real" / "complex" per eigenvalue
     residual: float
     condition: float
@@ -498,7 +499,7 @@ def solve_dephasing_spectrum(params: ModelParams) -> list[SpectralSet]:
 
 @dataclass
 class SlowModeSummary:
-    """Slow-branch data for one system size."""
+    """Slow-branch data for one system size; ``sets`` holds all N blocks, without eigenvectors."""
 
     N: int
     real_gap: float
@@ -507,37 +508,20 @@ class SlowModeSummary:
     sets: list
 
 
-def slow_modes(params: ModelParams, keep_sets: bool = False) -> SlowModeSummary:
+def slow_modes(params: ModelParams) -> SlowModeSummary:
     """Classify the dephasing spectrum into fast complex and slow real branches.
 
     real_gap: smallest nonzero real part among real-classified eigenvalues
     (the slow branch); complex_gap: smallest real part of the complex branch,
-    which perturbation theory places at gamma (N-1)/N. Without ``keep_sets``
-    only one block's eigenvectors are held at a time.
+    which perturbation theory places at gamma (N-1)/N. Each block drops its
+    eigenvectors once solved; block N - q is block q under the mirrored index.
     """
-    if keep_sets:
-        sets = solve_dephasing_spectrum(params)
-        blocks = [(s, 1) for s in sets]
-    else:
-        sets = []
-        # block -q repeats the eigenvalues of block q
-        blocks = ((s, 2 if s.q_index else 1) for s in _half_spectrum(params))
-    reals, comps = [], []
-    n_real = 0
-    for s, copies in blocks:
-        re = s.eigenvalues.real
-        mask = s.branch == "real"
-        slow = re[mask & (re > 1e-12 * params.gamma)]
-        reals.append(slow)
-        comps.append(re[~mask])
-        n_real += copies * slow.size
-    return SlowModeSummary(
-        N=params.N,
-        real_gap=float(np.min(np.concatenate(reals))),
-        complex_gap=float(np.min(np.concatenate(comps))),
-        n_real=n_real,
-        sets=sets,
-    )
+    half = [replace(s, eigenvectors=None) for s in _half_spectrum(params)]
+    sets = half + [replace(s, q_index=params.N - s.q_index) for s in reversed(half[1:])]
+    re = np.concatenate([s.eigenvalues.real for s in sets])
+    real = np.concatenate([s.branch for s in sets]) == "real"
+    slow = re[real & (re > 1e-12 * params.gamma)]
+    return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, sets)
 
 
 def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_limit: float = 1e8):

@@ -78,8 +78,8 @@ def polylog_circle(beta: float, q: float) -> complex:
 
     At q = 0 the series is zeta(beta) and requires beta > 1; elsewhere any
     beta > 0 is admitted (for beta <= 1 the value grows without bound as
-    q -> 0 and overflows below |q| ~ 1e-161). Absolute accuracy 1e-10 or
-    better. The real and imaginary parts are the d = 1 Ewald sums
+    q -> 0). Accuracy 1e-10 absolute or better, relative where the value
+    exceeds 1. The real and imaginary parts are the d = 1 Ewald sums
     :func:`_epstein_cos` and :func:`_epstein_sin`, halved.
     """
     beta = float(beta)
@@ -199,20 +199,31 @@ def _epstein_cos(s: float, d: int, q) -> float:
 
     Epstein's theta split at unit scale gives pi^(s/2) / Gamma(s/2) times
     T1 + T2 - 2/s with T1 = sum_{r != 0} cos(q.r) Gamma(s/2, pi r^2) (pi r^2)^(-s/2)
-    and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|;
-    a term with u -> 0 is its limit 2/(s - d). Both sums run over the cube |n_i| <= 4.
-    q = 0 needs s > d; off the reciprocal lattice 2 pi Z^d any s is admitted
-    while pi u^2 stays above double-precision underflow.
+    and T2 = sum_k Gamma((d - s)/2, pi u^2) (pi u^2)^((s - d)/2), u = |k + q/2pi|.
+    Both sums run over the cube |n_i| <= 4. A term with pi u^2 below 1e-300
+    takes its small-x form 2/(s - d) + Gamma((d - s)/2) (sqrt(pi) u)^(s - d),
+    or -gamma_E - 2 ln(sqrt(pi) u) at s = d, which drops O(pi u^2); at u = 0
+    (infinite for s <= d) and for s - d >= 2 only the limit 2/(s - d) is
+    kept. q = 0 needs s > d; off the reciprocal lattice 2 pi Z^d any s is
+    admitted.
     """
     n, r, x = _EWALD_CUBES[d]
     t1 = np.sum(np.cos(r @ q) * _upper_gamma(s / 2.0, x) * x ** (-s / 2.0))
     u = n + q / (2.0 * math.pi)
     x = math.pi * np.einsum("ij,ij->i", u, u)
-    xp = x ** ((s - d) / 2.0)
-    far = xp > 1e-300  # nearer terms equal their u -> 0 limit to double precision
-    t2 = np.sum(_upper_gamma((d - s) / 2.0, x[far]) * xp[far])
+    e = (s - d) / 2.0
+    far = x > 1e-300 ** (1.0 / e if e > 1 else 1.0)  # pi u^2 and (pi u^2)^e both above 1e-300
+    t2 = np.sum(_upper_gamma(-e, x[far]) * x[far] ** e)
     if not far.all():
-        t2 += np.count_nonzero(~far) * 2.0 / (s - d)
+        for v in u[~far]:
+            big = np.max(np.abs(v))  # |v| = big |v / big| does not underflow
+            y = math.sqrt(math.pi) * big * math.sqrt(np.sum((v / big) ** 2)) if big else 0.0
+            if y == 0.0 or s - d >= 2:  # the second term is below double precision
+                t2 += 2.0 / (s - d) if s > d else math.inf
+            elif s == d:
+                t2 += -np.euler_gamma - 2.0 * math.log(y)
+            else:
+                t2 += 2.0 / (s - d) + gamma_fn((d - s) / 2.0) * y ** (s - d)
     return float(math.pi ** (s / 2.0) / gamma_fn(s / 2.0) * (t1 + t2 - 2.0 / s))
 
 

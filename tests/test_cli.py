@@ -313,7 +313,7 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("line", ["gamma = nan", "gamma = 0", "gamma = -2.0", "J = inf", "N = 2.5"])
+    @pytest.mark.parametrize("line", ["gamma = nan", "gamma = 0", "gamma = -2.0", "J = inf", "J = 0.0", "N = 2.5"])
     def test_bad_parameter_in_config_exit_2(self, tmp_path, line):
         key = line.split(" = ")[0]
         text = "\n".join(line if row.startswith(key + " = ") else row for row in CONFIG_TEXT.splitlines())
@@ -347,8 +347,9 @@ class TestMain:
             ("quantum-variance", "out = {out}", "out = {out}\nn_list = 0, 5"),
             ("classical-profile", "fit_j_min = 8", "fit_j_min = 30"),  # 30, 31 only
             ("classical-profile", "fit_j_min = 8", "fit_j_min = 0"),
+            ("classical-profile", "times = 2.5, 5.0", "t_max = 2.0"),
         ],
-        ids=["negative-seed", "size-below-2", "window-under-4-sites", "window-from-0"],
+        ids=["negative-seed", "size-below-2", "window-under-4-sites", "window-from-0", "profile-without-times"],
     )
     def test_run_values_a_solver_refuses_exit_2(self, tmp_path, kind, old, new, capsys):
         # caught at config time, before the run creates its output directory
@@ -419,6 +420,38 @@ class TestMain:
     def test_geometry_override_exit_2(self, tmp_path, capsys):
         assert main(["--preset", "fig1b", "--out", str(tmp_path / "out"), "--dim", "2"]) == 2
         assert "quantum-variance needs d = 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset", ["fig1c", "fig1d", "figS2"])
+    def test_t_max_override_on_profile_preset_exit_2(self, tmp_path, preset, capsys):
+        # --t-max clears the preset's times, and classical-profile has no horizon of its own
+        assert main(["--preset", preset, "--out", str(tmp_path / "out"), "--t-max", "2.0"]) == 2
+        assert "classical-profile requires explicit output times" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, geometry, run_line",
+        [
+            ("quantum-variance", "N = 64\nbc = open", ""),
+            ("classical-profile", "N = 128\nbc = periodic", ""),
+            ("classical-moments", "N = 128\nbc = periodic", ""),
+            ("manybody-relax", "N = 64\nbc = open", "n_list = 8, 10"),
+            ("spectrum", "N = 15\nbc = periodic", ""),
+            ("analytic-report", "N = 128\nbc = periodic", ""),
+        ],
+        ids=["quantum-variance", "classical-profile", "classical-moments", "manybody-relax", "spectrum",
+             "analytic-report"],
+    )
+    def test_zero_hopping_exit_2(self, tmp_path, kind, geometry, run_line, capsys):
+        # kappa = 2 J^2/gamma = 0 leaves no time scale; refused before the run writes
+        text = (
+            CONFIG_TEXT.replace("classical-profile", kind)
+            .replace("J = 1.0", "J = 0.0")
+            .replace("N = 128\nbc = periodic", geometry)
+            .replace("out = {out}", "out = {out}\n" + run_line)
+        )
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "kappa = 2 J^2/gamma must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_tail_window_follows_the_excitation(self, tmp_path):

@@ -230,7 +230,7 @@ class TestSlowModes:
 
     def test_real_parts_in_physical_range(self):
         p = ring(3.0, 31)
-        s = slow_modes(p, keep_sets=True)
+        s = slow_modes(p)
         for blk in s.sets:
             re = blk.eigenvalues.real
             assert np.all(re >= -1e-10)
@@ -392,12 +392,16 @@ class TestSecularSolver:
             assert set_distance(s.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
 
     def test_slow_modes_counts_mirrored_blocks(self):
+        # the summary holds every block of the full solve, q by q, without eigenvectors
         p = ring(2.0, 31, gamma=1.0)
-        half = slow_modes(p)
-        full = slow_modes(p, keep_sets=True)
-        assert len(full.sets) == 31 and half.sets == []
-        assert (half.real_gap, half.complex_gap, half.n_real) == (full.real_gap, full.complex_gap, full.n_real)
-        assert full.n_real == sum(int(np.sum((s.branch == "real") & (s.eigenvalues.real > 1e-12))) for s in full.sets)
+        summary = slow_modes(p)
+        full = solve_dephasing_spectrum(p)
+        assert [s.q_index for s in summary.sets] == [s.q_index for s in full] == list(range(31))
+        for s, f in zip(summary.sets, full):
+            assert s.eigenvectors is None
+            assert np.array_equal(s.eigenvalues, f.eigenvalues)
+            assert np.array_equal(s.branch, f.branch)
+        assert summary.n_real == sum(int(np.sum((s.branch == "real") & (s.eigenvalues.real > 1e-12))) for s in full)
 
 
 class TestPropagatorParity:
