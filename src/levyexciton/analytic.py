@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
+from scipy.special import wofz, zeta
 
-from .model import ModelParams, finite_displacement_norms
-from .special import _epstein_cos, _zeta_any, DAWSON_STABILITY_RADIUS, gamma_fn, lambert_w_m1
-from .special import riemann_zeta
+from .model import ModelParams, finite_lattice_sum
+from .special import _epstein_cos, DAWSON_STABILITY_RADIUS, gamma_fn, lambert_w_m1, riemann_zeta
 
 _INTEGER_TOL = 1e-9
 
@@ -48,8 +47,12 @@ def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") ->
         if s <= d:
             raise ValueError(f"lattice sum diverges for s = {s} <= d = {d}")
         return 2.0 * riemann_zeta(s) if d == 1 else _epstein_cos(s, d, np.zeros(d))
-    vals, counts = finite_displacement_norms(N, d, bc)
-    return float(np.sum(counts * vals ** (-s / 2.0)))
+    return finite_lattice_sum(s, N, d, bc)
+
+
+def _half_variance_sum(alpha: float, d: int) -> float:
+    """1/2 sum_{r != 0} |r|^(2 - 2 alpha): D_alpha / kappa, and minus the q^2 coefficient of A(q)/kappa."""
+    return 0.5 * lattice_sum(2 * alpha - 2, d)
 
 
 # -- structure function ------------------------------------------------------------
@@ -141,8 +144,8 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
                 )
             return SmallQExpansion(value, "O(q^4)", "d1-half-integer")
         value = -C * qn ** (2 * a - 1)
-        value += 2.0 * _zeta_any(2 * a)
-        value -= _zeta_any(2 * a - 2) * qn**2
+        value += 2.0 * float(zeta(2 * a))  # 2 a and 2 a - 2 are not integers here, so never the pole
+        value -= float(zeta(2 * a - 2)) * qn**2
         return SmallQExpansion(value, "O(q^4)", "d1-generic")
 
     # d >= 2: continuum singular power about q = 0
@@ -156,7 +159,7 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
     value = lattice_sum(2 * a, d) - C * qn ** (2 * a - d)
     alpha_cr = (d + 2) / 2.0
     if a > alpha_cr:
-        value -= 0.5 * lattice_sum(2 * a - 2, d) * qn**2
+        value -= _half_variance_sum(a, d) * qn**2
         return SmallQExpansion(value, "O(q^4)", "continuum-mixed")
     return SmallQExpansion(value, "O(q^2)", "continuum-levy")
 
@@ -218,9 +221,7 @@ def coefficients(params: ModelParams) -> AsymptoticCoefficients:
     kappa = params.kappa
     alpha_cr = (d + 2) / 2.0
     regime = "levy" if a <= alpha_cr else "mixed"
-    D = None
-    if regime == "mixed":
-        D = 0.5 * kappa * lattice_sum(2 * a - 2, d)
+    D = kappa * _half_variance_sum(a, d) if regime == "mixed" else None
     C = levy_coefficient_d1(a, kappa) if d == 1 else levy_coefficient_continuum(a, d, kappa)
     return AsymptoticCoefficients(D_alpha=D, C_alpha=C, alpha_cr=alpha_cr, regime=regime)
 
@@ -233,8 +234,9 @@ def asymptotic_profile(j, t: float, params: ModelParams):
 
     alpha <= alpha_cr: pure algebraic tail kappa t / |j|^(2 alpha).
     alpha > alpha_cr: the larger of the Gaussian core
-    exp(-|j|^2 / 4 D t) / (4 pi D t)^(d/2) and the tail, which cross exactly
-    once beyond the peak (taking the max avoids a stitching discontinuity).
+    exp(-|j|^2 / 4 D t) / (4 pi D t)^(d/2), D = ``coefficients(params).D_alpha``,
+    and the tail, which cross exactly once beyond the peak (taking the max
+    avoids a stitching discontinuity).
 
     j may be a scalar (d = 1), a d-vector, or an array of those. The origin
     with alpha <= alpha_cr has no asymptotic value; the finite-ring spectral
@@ -242,7 +244,7 @@ def asymptotic_profile(j, t: float, params: ModelParams):
     """
     if t <= 0:
         raise ValueError("profile is defined for t > 0")
-    params.require_thermodynamic()
+    coeff = coefficients(params)
     a, d = params.alpha, params.d
     kappa = params.kappa
     jj = np.asarray(j, dtype=float)
@@ -253,10 +255,9 @@ def asymptotic_profile(j, t: float, params: ModelParams):
         if arr.shape[-1] != d:
             raise ValueError(f"site vectors must have {d} components")
         r2 = np.sum(arr**2, axis=-1)
-    alpha_cr = (d + 2) / 2.0
     with np.errstate(divide="ignore"):
         tail = kappa * t * r2 ** (-a)
-    if a <= alpha_cr:
+    if coeff.regime == "levy":
         if np.any(r2 == 0):
             if params.bc != "periodic":
                 raise ValueError(
@@ -269,7 +270,7 @@ def asymptotic_profile(j, t: float, params: ModelParams):
             tail = np.where(r2 == 0, origin, tail)
         out = tail
     else:
-        D = 0.5 * kappa * lattice_sum(2 * a - 2, d)
+        D = coeff.D_alpha
         gauss = np.exp(-r2 / (4 * D * t)) / (4 * math.pi * D * t) ** (d / 2.0)
         out = np.maximum(gauss, np.where(r2 == 0, 0.0, tail))
     if np.isscalar(j) or (isinstance(j, np.ndarray) and j.ndim == 0):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 from scipy.special import ive
 
-from .model import ModelParams, min_image, open_kernel_and_escape, output_times, ring_rate_row
+from .model import ModelParams, displacement_axis, open_kernel_and_escape, output_times, ring_rate_row
 
 MASS_TOL = 1e-9
 NEGATIVITY_TOL = -1e-12
@@ -68,13 +68,7 @@ class DensityProfile:
 
     def coordinates(self):
         """Per-axis displacement coordinates relative to the origin site."""
-        out = []
-        for ax, n in enumerate(self.values.shape):
-            c = np.arange(n) - self.origin[ax]
-            if self.bc == "periodic":
-                c = min_image(c, n)
-            out.append(c.astype(float))
-        return out
+        return [displacement_axis(n, o, self.bc).astype(float) for n, o in zip(self.values.shape, self.origin)]
 
 
 def _generator(params: ModelParams):

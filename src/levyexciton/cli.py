@@ -13,7 +13,8 @@ times that are empty, repeated, negative, NaN or infinite, a
 ``classical-profile`` run without ``times``, a negative seed for KMC
 trajectories, sizes below 2, a tail-fit window with one bound or holding fewer
 than four sites, a kind or ``method = spectral`` on a lattice its solver does
-not cover), with nothing written; 3 solver error.
+not cover, an even ring spectrum or an odd domain wall, a ``tag`` holding a
+path separator), with nothing written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} needs d = 1 and bc = {need}, got d = {d}, bc = {bc}")
         if self.run.method == "spectral" and bc != "periodic" and kind.propagates:
             raise ConfigError(f"method = spectral needs bc = periodic for {self.kind}")
+        sizes = [self.model.N, *(self.run.n_list or ())]
+        ring_spectrum = self.kind == "spectrum" or (self.kind == "quantum-variance" and self.run.method == "spectral")
+        if ring_spectrum and any(n % 2 == 0 for n in sizes):
+            raise ConfigError(f"{self.kind} needs odd sizes (even rings have exact degeneracies), got {sizes}")
+        if self.kind == "manybody-relax" and any(n % 2 for n in sizes):
+            raise ConfigError(f"the domain wall needs even sizes, got {sizes}")
+        if Path(self.run.tag).name != self.run.tag:
+            raise ConfigError(f"tag must not hold a path separator, got {self.run.tag!r}")
         # refuse a bad or missing grid before the run writes
         if _time_grid(self) is None and kind.propagates:
             raise ConfigError(f"{self.kind} requires explicit output times")
@@ -353,7 +362,7 @@ def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
     acr = (params.d + 2) / 2.0
     kappa = params.kappa
     if params.alpha > acr:
-        b = 0.5 * kappa * analytic.lattice_sum(2 * params.alpha - 2, 1)
+        b = analytic.coefficients(params).D_alpha  # refuses alpha <= d/2, so only read here
         beta = 2.0
     elif abs(params.alpha - acr) < 1e-9:
         b = kappa

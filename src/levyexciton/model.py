@@ -6,17 +6,20 @@ dephase locally at rate gamma. In the strong-dephasing (Zeno) limit the
 dynamics reduces to an incoherent walk with rates kappa/r^(2*alpha), where
 kappa = 2 J^2 / gamma.
 
-Everything downstream (classical solvers, quantum propagators, the exclusion
-process) consumes the kernels built here, so the distance conventions are
-fixed in one place:
+Each lattice convention is written once, here, and the solvers index the
+rows and grids these functions return:
 
-* periodic bc: per-axis minimum-image displacement; in d=1 the *hopping
-  amplitude* additionally sums the two ring images,
-  h(r) = J [ r^-alpha + (N-r)^-alpha ].
-* open bc: plain Euclidean distance.
+* displacements from a site: :func:`displacement_axis`, and
+  :func:`_squared_length` for one displacement (minimum image on rings);
+* coherent hopping: :func:`hopping_row`, J [r^-alpha + (N-r)^-alpha] on a
+  d = 1 ring (two images), J / r^alpha on an open chain;
+* rates kappa / r^(2 alpha): :func:`ring_rate_row`, :func:`open_line_rates`
+  and :func:`open_kernel_and_escape`, through one power-law helper;
+* finite lattice sums: :func:`finite_lattice_sum`, from site 0 of a ring or
+  the central site of an open lattice.
 
-The grid check every propagator applies to its output times
-(:func:`output_times`) and the one CSV writer (:func:`write_csv`) live here too.
+D_alpha and alpha_cr = (d + 2)/2 come from :func:`levyexciton.analytic.coefficients`.
+The output-time check (:func:`output_times`) and the CSV writer live here too.
 """
 
 from __future__ import annotations
@@ -157,71 +160,98 @@ def min_image(delta, N: int):
     return (delta + N // 2) % N - N // 2
 
 
+def displacement_axis(N: int, origin: int, bc: str) -> np.ndarray:
+    """Integer displacements of sites 0..N-1 from ``origin``; the minimum image on rings."""
+    c = np.arange(N) - origin
+    return min_image(c, N) if bc == "periodic" else c
+
+
+def _source_axis(N: int, bc: str) -> np.ndarray:
+    """Displacements seen from the source site of the finite sums: site 0 on rings, the central one on chains."""
+    return displacement_axis(N, 0 if bc == "periodic" else (N - 1) // 2, bc)
+
+
+def _squared_length(params: ModelParams, r) -> float:
+    """|r|^2 of the displacement r under the bc (per-axis minimum image on rings); refuses r = 0."""
+    r = np.atleast_1d(np.asarray(r, dtype=int))
+    if params.bc == "periodic":
+        r = min_image(r, params.N)
+    r2 = float(np.sum(r.astype(float) ** 2))
+    if r2 == 0:
+        raise ValueError(f"displacement {r.tolist()} is the site itself; kernels are undefined at r = 0")
+    return r2
+
+
 # -- kernels -------------------------------------------------------------------
+
+
+def _off_site_power(x: np.ndarray, amp: float, p: float) -> np.ndarray:
+    """amp * x^-p where x > 0, and 0 where x = 0 (the site itself)."""
+    out = np.zeros_like(x)
+    nz = x > 0
+    out[nz] = amp * x[nz] ** -p
+    return out
+
+
+def hopping_row(params: ModelParams) -> np.ndarray:
+    """h(r), r = 0..N-1, in d = 1 (h(0) = 0).
+
+    J [r^-alpha + (N-r)^-alpha] on rings (two images), J / r^alpha on chains.
+    """
+    N = params.N
+    r = np.arange(1, N, dtype=float)
+    row = np.zeros(N)
+    if params.bc == "periodic":
+        row[1:] = params.J * (r**-params.alpha + (N - r) ** -params.alpha)
+    else:
+        row[1:] = params.J / r**params.alpha
+    return row
 
 
 def hopping_amplitude(params: ModelParams, r) -> float:
     """Coherent hopping amplitude at displacement r (r != 0).
 
-    Open bc: J / |r|^alpha. Periodic bc in d=1 sums the two ring images,
-    J [ |r|^-alpha + (N-|r|)^-alpha ]; in d >= 2 the minimum-image distance
-    is used (a convenience -- the quantum layer is one-dimensional).
+    In d = 1 the entry of :func:`hopping_row` at the bc distance (an open
+    chain refuses |r| >= N). In d >= 2, J / |r|^alpha with the bc distance
+    (minimum image on rings; a convenience, the quantum layer is 1-d).
     """
-    r = np.atleast_1d(np.asarray(r, dtype=int))
-    if np.all(r == 0):
-        raise ValueError("hopping amplitude is undefined at r = 0")
-    if params.bc == "periodic":
-        if params.d == 1 and r.size == 1:
-            a = abs(int(r[0])) % params.N
-            if a == 0:
-                raise ValueError("displacement wraps to the same site")
-            return params.J * (a ** -params.alpha + (params.N - a) ** -params.alpha)
-        rm = min_image(r, params.N).astype(float)
-        return params.J * float(np.sum(rm**2)) ** (-params.alpha / 2)
-    return params.J * float(np.sum(r.astype(float) ** 2)) ** (-params.alpha / 2)
+    r2 = _squared_length(params, r)
+    if params.d > 1:
+        return params.J * r2 ** (-params.alpha / 2)
+    dist = math.isqrt(int(r2))
+    if dist >= params.N:
+        raise ValueError(f"displacement {r} leaves the {params.N}-site chain")
+    return float(hopping_row(params)[dist])
 
 
 def classical_rate(params: ModelParams, r) -> float:
     """Incoherent hopping rate kappa / |r|^(2 alpha) at displacement r != 0.
 
-    The distance follows the bc convention (minimum image on rings).
-    Symmetric under r -> -r, hence the walk satisfies detailed balance.
+    The bc distance (minimum image on rings) through the power law of
+    :func:`ring_rate_row` and the open convolution grid, so it equals their
+    entries bit for bit. Even in r, hence the walk obeys detailed balance.
     """
-    kappa = params.kappa  # validates gamma > 0
-    r = np.atleast_1d(np.asarray(r, dtype=int))
-    if params.bc == "periodic":
-        r = min_image(r, params.N)
-    if np.all(r == 0):
-        raise ValueError("classical rate is undefined at r = 0")
-    r2 = float(np.sum(r.astype(float) ** 2))
-    return kappa * r2 ** (-params.alpha)
+    return float(_off_site_power(np.array([_squared_length(params, r)]), params.kappa, params.alpha)[0])
 
 
 def ring_rate_row(params: ModelParams) -> np.ndarray:
     """Periodic rate kernel w(r) over per-axis displacements 0..N-1 (w[0] = 0).
 
     Shape ``params.shape``; in d = 1 this is the first row of the ring
-    generator. Built from squared integer minimum-image distances so that
-    every solver (spectral, ODE, many-body) shares bit-identical rates.
+    generator. Built from squared integer minimum-image distances, so that
+    every ring solver reads bit-identical rates, each equal to
+    :func:`classical_rate` (open chains read :func:`open_line_rates`).
     """
     if params.bc != "periodic":
         raise ValueError("ring kernel requires periodic bc")
-    N = params.N
-    axis = np.minimum(np.arange(N), N - np.arange(N)).astype(float)
+    axis = _source_axis(params.N, params.bc).astype(float)
     r2 = sum(g**2 for g in np.meshgrid(*([axis] * params.d), indexing="ij"))
-    w = np.zeros_like(r2)
-    nz = r2 > 0
-    w[nz] = params.kappa * r2[nz] ** (-params.alpha)
-    return w
+    return _off_site_power(r2, params.kappa, params.alpha)
 
 
 def open_line_rates(params: ModelParams) -> np.ndarray:
-    """w[r] for r = 0..N-1 on an open chain (w[0] = 0); d = 1."""
-    N = params.N
-    r = np.arange(1, N, dtype=float)
-    w = np.zeros(N)
-    w[1:] = params.kappa * r ** (-2 * params.alpha)
-    return w
+    """w[r] = kappa r^(-2 alpha) for r = 0..N-1 on an open chain (w[0] = 0); d = 1."""
+    return _off_site_power(np.arange(params.N, dtype=float), params.kappa, 2 * params.alpha)
 
 
 def open_kernel_and_escape(params: ModelParams):
@@ -240,10 +270,7 @@ def open_kernel_and_escape(params: ModelParams):
 
     shape = params.shape
     grids = np.meshgrid(*[np.arange(-(s - 1), s) for s in shape], indexing="ij")
-    r2 = sum(g.astype(float) ** 2 for g in grids)
-    w = np.zeros_like(r2)
-    nz = r2 > 0
-    w[nz] = params.kappa * r2[nz] ** (-params.alpha)
+    w = _off_site_power(sum(g.astype(float) ** 2 for g in grids), params.kappa, params.alpha)
     fshape = [next_fast_len(2 * s - 1, real=True) for s in shape]
     wf = rfftn(w, s=fshape)
     sl = tuple(slice(s - 1, 2 * s - 1) for s in shape)
@@ -260,16 +287,17 @@ def finite_displacement_norms(N: int, d: int, bc: str) -> tuple[np.ndarray, np.n
     Periodic: per-axis minimum-image displacement set of the N-ring.
     Open: displacements reachable from the central site.
     """
-    if bc == "periodic":
-        axis = min_image(np.arange(N), N)
-    else:
-        lo = -((N - 1) // 2)
-        axis = np.arange(lo, lo + N)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    grids = np.meshgrid(*([_source_axis(N, bc)] * d), indexing="ij")
     q = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
     q = q[q > 0]
     vals, counts = np.unique(q, return_counts=True)
     return vals.astype(float), counts.astype(float)
+
+
+def finite_lattice_sum(s: float, N: int, d: int, bc: str) -> float:
+    """sum_{r != 0} |r|^(-s) over the displacement set of :func:`finite_displacement_norms`."""
+    vals, counts = finite_displacement_norms(N, d, bc)
+    return float(np.sum(counts * vals ** (-s / 2.0)))
 
 
 def escape_rate(params: ModelParams) -> float:
@@ -279,26 +307,18 @@ def escape_rate(params: ModelParams) -> float:
     site, which grows monotonically with N toward the infinite-lattice value
     (finite for alpha > d/2).
     """
-    vals, counts = finite_displacement_norms(params.N, params.d, params.bc)
-    return params.kappa * float(np.sum(counts * vals ** (-params.alpha)))
+    return params.kappa * finite_lattice_sum(2 * params.alpha, params.N, params.d, params.bc)
 
 
 def sum_r2_hopping_sq(params: ModelParams) -> float:
-    """sum_r r^2 H_r^2 over the finite displacement set (d = 1).
+    """sum_r r^2 h(r)^2 over the finite displacement set (d = 1), h from :func:`hopping_row`.
 
-    H_r is the bc-dependent hopping amplitude; the sum controls both the
-    ballistic and the diffusive regime of the dephasing dynamics. Diverges
-    with N for alpha <= (d+2)/2, in which case callers normalize by it.
+    It sets both the ballistic and the diffusive regime of the dephasing
+    dynamics. Diverges with N for alpha <= (d+2)/2, where callers normalize by it.
     """
     if params.d != 1:
         raise ValueError("hopping-moment sum implemented for d = 1 only")
-    N = params.N
-    if params.bc == "periodic":
-        rs = min_image(np.arange(1, N), N).astype(float)
-        a = np.arange(1, N, dtype=float)
-        h = params.J * (a**-params.alpha + (N - a) ** -params.alpha)
-    else:
-        lo = -((N - 1) // 2)
-        rs = np.array([r for r in range(lo, lo + N) if r != 0], dtype=float)
-        h = params.J * np.abs(rs) ** -params.alpha
-    return float(np.sum(rs**2 * h**2))
+    r = _source_axis(params.N, params.bc)
+    r = r[r != 0]
+    h = hopping_row(params)[np.abs(r)]  # a ring row is even: h(r) = h(N - r) bit for bit
+    return float(np.sum(r.astype(float) ** 2 * h**2))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, min_image, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, displacement_axis, hopping_row, output_times, sum_r2_hopping_sq, write_csv
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -61,20 +61,16 @@ class SpectralError(RuntimeError):
 
 
 def build_h(params: ModelParams) -> np.ndarray:
-    """Single-particle hopping matrix under the parameter set's bc.
+    """Single-particle hopping matrix h[i, j] = h(|i - j|) under the parameter set's bc.
 
-    Periodic rings sum the two images, h(r) = J [r^-a + (N-r)^-a]; open
-    chains use J / |i-j|^a. Symmetric with zero diagonal.
+    h is :func:`levyexciton.model.hopping_row`: two images on rings (whose
+    row is even, h(r) = h(N - r)), J / r^a on open chains. Symmetric with
+    zero diagonal.
     """
     if params.d != 1:
         raise ValueError("quantum layer is one-dimensional")
-    N = params.N
-    idx = np.arange(N)
-    if params.bc == "periodic":
-        return _ring_h_row(params)[(idx[:, None] - idx[None, :]) % N]
-    r = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    np.fill_diagonal(r, np.inf)
-    return params.J / r**params.alpha
+    idx = np.arange(params.N)
+    return hopping_row(params)[np.abs(idx[:, None] - idx[None, :])]
 
 
 @dataclass
@@ -176,10 +172,7 @@ def variance_of_density(cm: CorrelationMatrix, origin: int | None = None) -> flo
     N = n.size
     if origin is None:
         origin = N // 2 if cm.bc == "open" else 0
-    x = np.arange(N) - origin
-    if cm.bc == "periodic":
-        x = min_image(x, N)
-    x = x.astype(float)
+    x = displacement_axis(N, origin, cm.bc).astype(float)
     mean = float(n @ x)
     return float(n @ x**2) - mean**2
 
@@ -203,13 +196,7 @@ def variance_closed_form(params: ModelParams, t) -> np.ndarray:
 # -- weak-dephasing spectral machinery -----------------------------------------
 
 
-def _ring_h_row(params: ModelParams) -> np.ndarray:
-    """h(r), r = 0..N-1, with the two-image ring convention."""
-    N = params.N
-    r = np.arange(1, N, dtype=float)
-    row = np.zeros(N)
-    row[1:] = params.J * (r**-params.alpha + (N - r) ** -params.alpha)
-    return row
+_ring_h_row = hopping_row  # the name perfbench/tracer.py spans for the ring row
 
 
 def _require_odd_ring(params: ModelParams):
@@ -228,12 +215,9 @@ def momentum(params: ModelParams, q_index: int) -> float:
 def build_circulant(q_index: int, params: ModelParams) -> np.ndarray:
     """Anti-Hermitian circulant block C_q with entries i[1 - e^{iq(m-j)}] h_{m,j}."""
     _require_odd_ring(params)
-    N = params.N
     q = momentum(params, q_index)
-    m = np.arange(N)
-    diff = m[:, None] - m[None, :]
-    hmat = _ring_h_row(params)[diff % N]
-    return 1j * (1.0 - np.exp(1j * q * diff)) * hmat
+    m = np.arange(params.N)
+    return 1j * (1.0 - np.exp(1j * q * (m[:, None] - m[None, :]))) * build_h(params)
 
 
 def _to_sites(W: np.ndarray) -> np.ndarray:
@@ -254,7 +238,7 @@ def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
     _require_odd_ring(params)
     N = params.N
     q = momentum(params, q_index)
-    row = 1j * (1.0 - np.exp(-1j * q * np.arange(N))) * _ring_h_row(params)
+    row = 1j * (1.0 - np.exp(-1j * q * np.arange(N))) * hopping_row(params)
     return np.fft.ifft(row) * N
 
 

@@ -49,19 +49,6 @@ def riemann_zeta(s: float) -> float:
     return float(sc.zeta(s))
 
 
-def _zeta_any(s: float) -> float:
-    """zeta on the real line away from s = 1 (internal helper).
-
-    The public contract of :func:`riemann_zeta` stays s > 1; values at and
-    below 1 are needed only inside the d = 1 small-q expansion of the
-    structure function.
-    """
-    s = float(s)
-    if s == 1:
-        raise ValueError("zeta has a pole at s = 1")
-    return float(sc.zeta(s))
-
-
 def gamma_fn(x: float) -> float:
     """Gamma function on the real line away from the poles 0, -1, -2, ..."""
     x = float(x)

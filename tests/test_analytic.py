@@ -415,6 +415,16 @@ class TestAsymptoticProfile:
             1.0 / math.sqrt(4 * math.pi * D * t), rel=1e-9
         )
 
+    @pytest.mark.parametrize("d, alpha", [(1, 2.5), (2, 3.0), (3, 3.0)])
+    def test_gaussian_core_uses_coefficients_d_alpha(self, d, alpha):
+        # D_alpha is computed only by coefficients; the core reads it from there
+        p = mp(alpha, d=d, N=16)
+        t = 3.0 / p.kappa
+        D = coefficients(p).D_alpha
+        assert asymptotic_profile(np.zeros(d), t, p) == pytest.approx(
+            1.0 / (4 * math.pi * D * t) ** (d / 2), rel=1e-15
+        )
+
     def test_branches_cross_at_xi(self):
         p = mp(2.0)
         t = 3.0 / p.kappa

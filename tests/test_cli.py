@@ -297,9 +297,12 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 0
 
     def test_solver_error_exit_3(self, tmp_path):
-        # spectrum on an even ring trips the degeneracy refusal inside quantum
-        text = CONFIG_TEXT.replace("classical-profile", "spectrum").replace(
-            "N = 128", "N = 16"
+        # the two-site chain's chi^2 falls through the relaxation fit window
+        # within too few grid points, which relaxation_fit refuses
+        text = (
+            CONFIG_TEXT.replace("classical-profile", "manybody-relax")
+            .replace("N = 128\nbc = periodic", "N = 8\nbc = open")
+            .replace("out = {out}", "out = {out}\nn_list = 2, 4, 6, 8")
         )
         cfg = write_config(tmp_path, text=text)
         assert main(["--config", str(cfg)]) == 3
@@ -328,6 +331,7 @@ class TestMain:
             ("classical-moments", "n_times = 0"),
             ("classical-moments", "t_max = -1"),
             ("classical-moments", "n_times = abc"),
+            ("classical-moments", "tag = a/b"),
         ],
     )
     def test_bad_run_values_exit_2(self, tmp_path, kind, run_line, capsys):
@@ -403,14 +407,21 @@ class TestMain:
             ("quantum-variance", "bc = open", "method = spectral"),
             ("classical-profile", "bc = open", "method = spectral"),
             ("classical-moments", "bc = open", "method = spectral"),
+            ("manybody-relax", "bc = open\nN = 101", ""),
+            ("manybody-relax", "bc = open", "n_list = 100, 101, 200, 400"),
+            ("spectrum", "N = 30", ""),
+            ("quantum-variance", "N = 30", "method = spectral"),
         ],
         ids=["qv-d2", "spectrum-d2", "spectrum-open", "relax-ring", "qv-spectral-open",
-             "profile-spectral-open", "moments-spectral-open"],
+             "profile-spectral-open", "moments-spectral-open", "relax-odd-N", "relax-odd-size",
+             "spectrum-even-N", "qv-spectral-even-N"],
     )
     def test_kind_off_its_geometry_exit_2(self, tmp_path, kind, model, run_line, capsys):
         # refused at config time, before the run creates its output directory
-        key = model.split(" = ")[0]
-        rows = [model if row.startswith(key + " = ") else row for row in CONFIG_TEXT.splitlines()]
+        rows = CONFIG_TEXT.splitlines()
+        for line in model.splitlines():
+            key = line.split(" = ")[0]
+            rows = [line if row.startswith(key + " = ") else row for row in rows]
         text = "\n".join(rows).replace("classical-profile", kind)
         text = text.replace("out = {out}", "out = {out}\n" + run_line)
         assert main(["--config", str(write_config(tmp_path, text=text + "\n"))]) == 2
@@ -420,6 +431,11 @@ class TestMain:
     def test_geometry_override_exit_2(self, tmp_path, capsys):
         assert main(["--preset", "fig1b", "--out", str(tmp_path / "out"), "--dim", "2"]) == 2
         assert "quantum-variance needs d = 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_odd_size_override_on_domain_wall_preset_exit_2(self, tmp_path, capsys):
+        assert main(["--preset", "fig2a", "--out", str(tmp_path / "out"), "--N", "101"]) == 2
+        assert "the domain wall needs even sizes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("preset", ["fig1c", "fig1d", "figS2"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,9 @@ from levyexciton.model import (
     escape_rate,
     hopping_amplitude,
     min_image,
+    open_line_rates,
     ring_rate_row,
+    sum_r2_hopping_sq,
 )
 
 
@@ -95,6 +99,10 @@ class TestHopping:
     def test_zero_displacement_rejected(self):
         with pytest.raises(ValueError):
             hopping_amplitude(ring(), 0)
+        with pytest.raises(ValueError):
+            hopping_amplitude(ring(N=8), 8)  # wraps onto the same site
+        with pytest.raises(ValueError):
+            hopping_amplitude(ring(N=8, bc="open"), 8)  # leaves the chain
 
 
 class TestClassicalRate:
@@ -137,3 +145,58 @@ class TestEscape:
         p = ring(N=20001, alpha=1.5, bc="open")
         inf = p.kappa * lattice_sum(3.0, 1)
         assert escape_rate(p) == pytest.approx(inf, rel=1e-6)
+
+
+ALPHAS = (1.0, 1.5, 2.0, 3.0)
+
+
+class TestConventions:
+    """Each kernel a solver indexes agrees with the one-displacement functions."""
+
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_build_h_is_hopping_amplitude(self, alpha, bc):
+        from levyexciton.quantum import build_h
+
+        p = ring(N=33, alpha=alpha, J=0.7, bc=bc)
+        H = build_h(p)
+        amp = [[hopping_amplitude(p, i - j) if i != j else 0.0 for j in range(p.N)] for i in range(p.N)]
+        assert np.array_equal(H, amp)
+
+    @pytest.mark.parametrize("d, N", [(1, 64), (2, 12)])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_ring_rate_row_is_classical_rate(self, alpha, d, N):
+        p = ring(N=N, alpha=alpha, d=d)
+        row = ring_rate_row(p)
+        for r in np.ndindex(p.shape):
+            if any(r):
+                assert row[r] == classical_rate(p, r)
+
+    @pytest.mark.parametrize("d, N", [(1, 33), (1, 32), (2, 9), (3, 6)])
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_escape_rate_is_kappa_times_lattice_sum(self, alpha, bc, d, N):
+        from levyexciton.analytic import lattice_sum
+
+        p = ring(N=N, alpha=alpha, d=d, bc=bc)
+        assert escape_rate(p) == p.kappa * lattice_sum(2 * alpha, d, N, bc)
+
+    @pytest.mark.parametrize("N", [33, 32])
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_sum_r2_hopping_sq_sums_hopping_amplitude(self, alpha, bc, N):
+        # the displacement set from the source site; h depends on |r| only
+        p = ring(N=N, alpha=alpha, J=0.7, bc=bc)
+        ref = math.fsum(r * r * hopping_amplitude(p, r) ** 2 for r in range(-(N // 2), N - N // 2) if r)
+        assert sum_r2_hopping_sq(p) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_open_line_rates_match_classical_rate(self, alpha):
+        # open_line_rates evaluates kappa r^(-2 alpha); classical_rate and the
+        # open convolution grid evaluate kappa (r^2)^(-alpha), which rounds
+        # differently in the last bit at alpha = 1 (kappa = 1 keeps that bit)
+        p = ring(N=400, alpha=alpha, gamma=2.0, bc="open")
+        w = open_line_rates(p)[1:]
+        rates = np.array([classical_rate(p, r) for r in range(1, p.N)])
+        ulps = np.abs(w - rates) / np.spacing(rates)
+        assert np.max(ulps) <= (1.0 if alpha == 1.0 else 0.0)

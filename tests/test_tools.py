@@ -1,0 +1,68 @@
+"""The artifact comparator of tools/artifacts.py on hand-made output trees."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("artifacts", Path(__file__).parents[1] / "tools" / "artifacts.py")
+artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifacts)
+
+
+def make_tree(root: Path, files: dict, created: str) -> Path:
+    """One run directory ``root/run`` holding ``files`` and their manifest."""
+    run = root / "run"
+    run.mkdir(parents=True)
+    entries = []
+    for name, text in files.items():
+        (run / name).write_text(text)
+        entries.append({"name": name, "schema_version": "1", "sha256": hashlib.sha256(text.encode()).hexdigest()})
+    manifest = {
+        "artifacts": entries,
+        "config": {"kind": "spectrum", "run": {"out": str(run), "tag": "a10"}},
+        "created": created,
+    }
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+FILES = {"chi.csv": "t,chi2\n0.0,5.0e-01\n1.5,2.0e-01\n", "summary.txt": "beta = 2.0\nsizes = 51, 101\n"}
+
+
+def test_identical_trees_ignore_created_and_output_paths(tmp_path):
+    a = make_tree(tmp_path / "a", FILES, "2026-01-01T00:00:00")
+    b = make_tree(tmp_path / "b", FILES, "2026-02-02T00:00:00")
+    assert artifacts.compare_trees(a, b) == []
+
+
+def test_numeric_difference_is_reported_per_file(tmp_path):
+    a = make_tree(tmp_path / "a", FILES, "x")
+    b = make_tree(tmp_path / "b", {**FILES, "chi.csv": "t,chi2\n0.0,5.0e-01\n1.5,2.0000000000000004e-01\n"}, "x")
+    (line,) = artifacts.compare_trees(a, b)
+    assert line.startswith("run/chi.csv: max abs 2.776e-17, max rel 1.388e-16")
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [{"summary.txt": "beta = 2.0\nsizes = 51, 201\nextra = 1\n"}, {"summary.txt": "gamma = 2.0\nsizes = 51, 101\n"}],
+    ids=["line-count", "key"],
+)
+def test_layout_change_is_reported(tmp_path, changed):
+    a = make_tree(tmp_path / "a", FILES, "x")
+    b = make_tree(tmp_path / "b", {**FILES, **changed}, "x")
+    assert artifacts.compare_trees(a, b) == ["run/summary.txt: layout differs"]
+
+
+def test_artifact_list_and_config_changes_are_reported(tmp_path):
+    a = make_tree(tmp_path / "a", FILES, "x")
+    b = make_tree(tmp_path / "b", {"chi.csv": FILES["chi.csv"]}, "x")
+    manifest = json.loads((b / "run" / "manifest.json").read_text())
+    manifest["config"]["run"]["tag"] = "a20"
+    (b / "run" / "manifest.json").write_text(json.dumps(manifest))
+    assert artifacts.compare_trees(a, b) == [
+        "run: config echoes differ",
+        "run: artifact lists differ: ['summary.txt']",
+    ]
