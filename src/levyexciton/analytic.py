@@ -157,8 +157,7 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
             "evaluate the structure function directly"
         )
     value = lattice_sum(2 * a, d) - C * qn ** (2 * a - d)
-    alpha_cr = (d + 2) / 2.0
-    if a > alpha_cr:
+    if a > critical_alpha(d):
         value -= _half_variance_sum(a, d) * qn**2
         return SmallQExpansion(value, "O(q^4)", "continuum-mixed")
     return SmallQExpansion(value, "O(q^2)", "continuum-levy")
@@ -180,6 +179,11 @@ class AsymptoticCoefficients:
     C_alpha: float | None
     alpha_cr: float
     regime: str
+
+
+def critical_alpha(d: int) -> float:
+    """alpha_cr = (d + 2)/2, above which the variance sum converges; unlike :func:`coefficients`, for any alpha."""
+    return (d + 2) / 2.0
 
 
 def levy_coefficient_d1(alpha: float, kappa: float) -> float | None:
@@ -219,7 +223,7 @@ def coefficients(params: ModelParams) -> AsymptoticCoefficients:
     params.require_thermodynamic()
     a, d = params.alpha, params.d
     kappa = params.kappa
-    alpha_cr = (d + 2) / 2.0
+    alpha_cr = critical_alpha(d)
     regime = "levy" if a <= alpha_cr else "mixed"
     D = kappa * _half_variance_sum(a, d) if regime == "mixed" else None
     C = levy_coefficient_d1(a, kappa) if d == 1 else levy_coefficient_continuum(a, d, kappa)

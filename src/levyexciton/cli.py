@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, classical, manybody, quantum
-from .model import ModelParams, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, format_float, output_times, sum_r2_hopping_sq, write_csv
 
 SCHEMA_VERSION = "1"
 
@@ -192,10 +192,6 @@ def load_config(path) -> ExperimentConfig:
 # -- output helpers ----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return "%.16e" % x
-
-
 class _Collector:
     """Writes every artifact of a run into ``out_dir`` and renders the manifest.
 
@@ -276,19 +272,15 @@ def _run_quantum_variance(config: ExperimentConfig, col: _Collector):
     for N in sizes:
         pn = replace(p, N=N)
         norm = sum_r2_hopping_sq(pn) if run.normalize else 1.0
-        G0 = quantum.initial_g_delta(pn)
-        if run.method == "spectral":
-            states = quantum.spectral_propagate_G(G0, pn, ts)
-        else:
-            states = quantum.propagate_G(G0, pn, ts)
-        origin = pn.N // 2
-        var_q = np.array([quantum.variance_of_density(s, origin=origin) for s in states])
+        propagate = quantum.spectral_propagate_G if run.method == "spectral" else quantum.propagate_G
+        states = propagate(quantum.initial_g_delta(pn), pn, ts)
+        var_q = np.array([quantum.variance_of_density(s) for s in states])
         var_cf = np.asarray(quantum.variance_closed_form(pn, ts))
         classical_line = 2.0 * sum_r2_hopping_sq(pn) / pn.gamma * ts
 
         def rows():
             return (
-                (_fmt(t), _fmt(v / norm), _fmt(c / norm), _fmt(cl / norm))
+                (format_float(t), format_float(v / norm), format_float(c / norm), format_float(cl / norm))
                 for t, v, c, cl in zip(ts, var_q, var_cf, classical_line)
             )
 
@@ -325,9 +317,9 @@ def _run_classical_profile(config: ExperimentConfig, col: _Collector):
         # sites in the C order of values.
         axes = [[str(j) for j in c.astype(int).tolist()] for c in profs[0].coordinates()]
         for prof in profs:
-            t = _fmt(prof.t)
+            t = format_float(prof.t)
             for js, n in zip(itertools.product(*axes), prof.values.flat):
-                yield (t, *js, _fmt(n))
+                yield (t, *js, format_float(n))
 
     header = "t," + ",".join(f"j{k + 1}" for k in range(config.model.d)) + ",n"
     col.csv("profile.csv", run.tag, header, rows())
@@ -339,7 +331,7 @@ def _run_classical_profile(config: ExperimentConfig, col: _Collector):
                     continue
                 cut = prof if prof.values.ndim == 1 else classical.axis_profile(prof, axis=0)
                 expo, amp = classical.tail_fit(cut, (run.fit_j_min, run.fit_j_max))
-                yield _fmt(prof.t), _fmt(expo), _fmt(amp)
+                yield format_float(prof.t), format_float(expo), format_float(amp)
 
         col.csv("tail_fits.csv", run.tag, "t,exponent,amplitude", fits())
 
@@ -351,32 +343,19 @@ def _run_classical_moments(config: ExperimentConfig, col: _Collector):
     def rows():
         for prof in profs:
             mean, var = classical.moments(prof)
-            yield (_fmt(prof.t), *map(_fmt, mean), _fmt(var))
+            yield (format_float(prof.t), *map(format_float, mean), format_float(var))
 
     header = "t," + ",".join(f"mean{k + 1}" for k in range(p.d)) + ",variance"
     col.csv("moments.csv", config.run.tag, header, rows())
 
 
 def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
-    """Geometric guess for the chi^2 decay horizon of an N-site chain."""
-    acr = (params.d + 2) / 2.0
-    kappa = params.kappa
-    if params.alpha > acr:
-        b = analytic.coefficients(params).D_alpha  # refuses alpha <= d/2, so only read here
-        beta = 2.0
-    elif abs(params.alpha - acr) < 1e-9:
-        b = kappa
-        beta = 2.0
-    else:
-        b = math.pi * kappa
-        beta = 2.0 * params.alpha - 1.0
-    tau = N**beta / (2.0 * math.pi**beta * b)
-    if abs(params.alpha - acr) < 1e-9:
-        tau *= math.log(N)
-    return np.linspace(0.0, 18.0 * tau, 360)
+    """360 points up to 18 times the expected chi^2 decay time of an N-site chain."""
+    return np.linspace(0.0, 18.0 * manybody.expected_relaxation_time(params, N), 360)
 
 
 def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
+    # compute and fit everything first: a solver or fit failure then writes nothing
     p = config.model
     run = config.run
     times = _time_grid(config)
@@ -385,30 +364,29 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
     for N in sizes:
         pn = replace(p, N=N)
         ts = times if times is not None and run.n_list is None else _relax_time_grid(pn, N)
-        traj = manybody.occupation_evolution(pn, ts)
-        chi = manybody.chi_squared_series(traj)
-        series.append((ts, chi))
-        rows = ((_fmt(t), _fmt(c)) for t, c in zip(ts, chi))
-        col.csv(f"chi_N{N}.csv", run.tag, "t,chi2_over_N", rows)
+        series.append((ts, manybody.chi_squared_series(manybody.occupation_evolution(pn, ts))))
+    fit = manybody.relaxation_fit(series, sizes, p.alpha) if len(sizes) >= 4 else None
     # occupation profile for the configured N at the requested times
     ts_occ = times if times is not None else series[-1][0][:: max(1, len(series[-1][0]) // 8)]
     lin = manybody.occupation_evolution(p, ts_occ)
+    wall = manybody.domain_wall_config(p.N)
+    ens = manybody.kmc_simulate(wall, p, ts_occ, run.trajectories, run.seed) if run.trajectories > 0 else None
+    for N, (ts, chi) in zip(sizes, series):
+        rows = ((format_float(t), format_float(c)) for t, c in zip(ts, chi))
+        col.csv(f"chi_N{N}.csv", run.tag, "t,chi2_over_N", rows)
     labels = [str(j) for j in manybody.site_labels(p.N)]
     rows = (
-        (t, j, _fmt(n))
-        for t, occ in zip(map(_fmt, ts_occ), lin)
+        (t, j, format_float(n))
+        for t, occ in zip(map(format_float, ts_occ), lin)
         for j, n in zip(labels, occ.tolist())
     )
     col.csv("occupation.csv", run.tag, "t,j,n", rows)
-    if len(sizes) >= 4:
-        fit = manybody.relaxation_fit(series, sizes, p.alpha)
+    if fit is not None:
         col.text("relaxation.txt", run.tag, manybody.relaxation_summary(fit, p.alpha).splitlines())
-    if run.trajectories > 0:
-        config0 = manybody.domain_wall_config(p.N)
-        ens = manybody.kmc_simulate(config0, p, ts_occ, run.trajectories, run.seed)
+    if ens is not None:
         rows = (
-            (t, j, _fmt(m), _fmt(e))
-            for t, mean, err in zip(map(_fmt, ens.times), ens.mean, ens.stderr)
+            (t, j, format_float(m), format_float(e))
+            for t, mean, err in zip(map(format_float, ens.times), ens.mean, ens.stderr)
             for j, m, e in zip(labels, mean.tolist(), err.tolist())
         )
         col.csv("kmc.csv", run.tag, "t,j,n_mean,n_stderr", rows)
@@ -419,14 +397,11 @@ def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
         gap = np.abs(ens.mean - lin)
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(stderr > 0, gap / stderr, np.where(gap == 0, 0.0, np.inf))
-        col.text(
-            "duality_check.txt",
-            run.tag,
-            [
-                "max_abs_deviation = " + _fmt(float(np.max(gap))),
-                "max_deviation_over_stderr = " + _fmt(float(np.max(dev))),
-            ],
-        )
+        lines = [
+            "max_abs_deviation = " + format_float(float(np.max(gap))),
+            "max_deviation_over_stderr = " + format_float(float(np.max(dev))),
+        ]
+        col.text("duality_check.txt", run.tag, lines)
 
 
 def _run_spectrum(config: ExperimentConfig, col: _Collector):
@@ -449,17 +424,17 @@ def _run_spectrum(config: ExperimentConfig, col: _Collector):
                 re = quantum.perturbative_spectrum(qi, pn, order=2).real
             except quantum.DegenerateSpectrumError:
                 continue
-            pmin = min(pmin, float(np.min(re[re > 1e-12 * pn.gamma])))
+            pmin = min(pmin, float(np.min(quantum.decaying(re, pn.gamma))))
         pert_min.append(pmin)
     lines = [
         "sizes = " + ", ".join(str(n) for n in sizes),
-        "real_branch_gaps = " + ", ".join(_fmt(g) for g in gaps_r),
-        "complex_branch_gaps = " + ", ".join(_fmt(g) for g in gaps_c),
-        "perturbative_min_re = " + ", ".join(_fmt(g) for g in pert_min),
+        "real_branch_gaps = " + ", ".join(format_float(g) for g in gaps_r),
+        "complex_branch_gaps = " + ", ".join(format_float(g) for g in gaps_c),
+        "perturbative_min_re = " + ", ".join(format_float(g) for g in pert_min),
     ]
     if len(sizes) >= 2:
         slope = float(np.polyfit(np.log(sizes), np.log(gaps_r), 1)[0])
-        lines.append("real_branch_exponent = " + _fmt(slope))
+        lines.append("real_branch_exponent = " + format_float(slope))
     col.text("spectrum_summary.txt", run.tag, lines)
 
 
@@ -468,7 +443,7 @@ def _run_analytic_report(config: ExperimentConfig, col: _Collector):
     rows = []
     report = []
     for d in (1, 2, 3):
-        acr = (d + 2) / 2.0
+        acr = analytic.critical_alpha(d)
         report.append(f"d = {d}: alpha_cr = {acr}, forster_ratio = {analytic.forster_ratio(d):.6f}")
         for alpha in (0.75, 1.0, 1.25, 1.75, 2.0, 2.5, 3.0, 4.0):
             if alpha <= d / 2.0:
@@ -478,11 +453,11 @@ def _run_analytic_report(config: ExperimentConfig, col: _Collector):
             rows.append(
                 (
                     str(d),
-                    _fmt(alpha),
-                    _fmt(co.alpha_cr),
+                    format_float(alpha),
+                    format_float(co.alpha_cr),
                     co.regime,
-                    _fmt(co.D_alpha) if co.D_alpha is not None else "",
-                    _fmt(co.C_alpha) if co.C_alpha is not None else "",
+                    format_float(co.D_alpha) if co.D_alpha is not None else "",
+                    format_float(co.C_alpha) if co.C_alpha is not None else "",
                 )
             )
             if co.regime == "mixed":

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, open_line_rates, output_times
+from .analytic import coefficients, critical_alpha
+from .model import ModelParams, format_float, open_line_rates, output_times
 
 CHI2_FIT_WINDOW = (1e-6, 1e-2)
 
@@ -276,12 +277,37 @@ def fit_tau(times: np.ndarray, chi: np.ndarray) -> float:
     return -1.0 / slope
 
 
+def _critical(alpha: float) -> bool:
+    """Whether alpha is the chain's alpha_cr, where tau(N) gains a log N factor."""
+    return abs(alpha - critical_alpha(1)) < 1e-9
+
+
+def relaxation_time(N: int, alpha: float, beta: float, b: float) -> float:
+    """The tau(N) law of the chi^2 decay: N^beta / (2 pi^beta b), times log N at alpha_cr."""
+    tau = N**beta / (2.0 * math.pi**beta * b)
+    return tau * math.log(N) if _critical(alpha) else tau
+
+
+def expected_relaxation_time(params: ModelParams, N: int) -> float:
+    """tau(N) of an N-site chain from the model's coefficients.
+
+    beta = 2 with b = D_alpha above alpha_cr and b = kappa at it; below it,
+    beta = 2 alpha - 1 with b = pi kappa.
+    """
+    a = params.alpha
+    if a > critical_alpha(params.d):
+        return relaxation_time(N, a, 2.0, coefficients(params).D_alpha)  # coefficients refuses alpha <= d/2
+    if _critical(a):
+        return relaxation_time(N, a, 2.0, params.kappa)
+    return relaxation_time(N, a, 2.0 * a - 1.0, math.pi * params.kappa)
+
+
 def relaxation_fit(series, Ns, alpha: float) -> RelaxationFit:
     """Power-law fit of tau(N) across system sizes.
 
     ``series`` is a list of (times, chi) pairs matching ``Ns`` (>= 4 sizes).
-    Away from the critical exponent the model is tau = N^beta/(2 pi^beta b);
-    at alpha = 3/2 the fit model includes the log N factor with beta = 2.
+    The model is :func:`relaxation_time`: a line in log N fits beta and b,
+    except at alpha_cr, where beta = 2 is fixed and only b is fitted.
     """
     if len(Ns) < 4:
         raise FitWindowError("need at least 4 system sizes")
@@ -289,14 +315,14 @@ def relaxation_fit(series, Ns, alpha: float) -> RelaxationFit:
         raise ValueError("series/Ns length mismatch")
     taus = [fit_tau(t, chi) for t, chi in series]
     logtau = np.log(taus)
-    critical = abs(alpha - 1.5) < 1e-9
+    critical = _critical(alpha)
     if critical:
-        model = np.array([N**2 * math.log(N) / (2 * math.pi**2) for N in Ns])
+        model = np.array([relaxation_time(N, alpha, 2.0, 1.0) for N in Ns])
         logb = np.mean(np.log(model) - logtau)
-        beta = 2.0
-        b = float(np.exp(logb))
+        beta, b = 2.0, float(np.exp(logb))
         resid = float(np.sqrt(np.mean((np.log(model) - logb - logtau) ** 2)))
     else:
+        # log tau = beta (log N - log pi) - log 2b
         x = np.log(Ns) - math.log(math.pi)
         coef, res, *_ = np.polyfit(x, logtau, 1, full=True)
         beta = float(coef[0])
@@ -349,10 +375,10 @@ def relaxation_summary(fit: RelaxationFit, alpha: float) -> str:
     lines = [
         f"alpha = {alpha!r}",
         "N_list = " + ", ".join(str(n) for n in fit.Ns),
-        "tau_list = " + ", ".join("%.16e" % t for t in fit.taus),
-        "beta = %.16e" % fit.beta,
-        "b_alpha = %.16e" % fit.b_alpha,
-        "residual = %.16e" % fit.residual,
+        "tau_list = " + ", ".join(map(format_float, fit.taus)),
+        "beta = " + format_float(fit.beta),
+        "b_alpha = " + format_float(fit.b_alpha),
+        "residual = " + format_float(fit.residual),
         f"critical_log_model = {fit.critical}",
     ]
     return "\n".join(lines) + "\n"

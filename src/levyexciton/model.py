@@ -18,8 +18,9 @@ rows and grids these functions return:
 * finite lattice sums: :func:`finite_lattice_sum`, from site 0 of a ring or
   the central site of an open lattice.
 
-D_alpha and alpha_cr = (d + 2)/2 come from :func:`levyexciton.analytic.coefficients`.
-The output-time check (:func:`output_times`) and the CSV writer live here too.
+D_alpha and alpha_cr = (d + 2)/2 come from :mod:`levyexciton.analytic` (``coefficients``,
+``critical_alpha``). The output-time check (:func:`output_times`), the number
+format of every artifact (:func:`format_float`) and the CSV writer live here too.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def output_times(t) -> np.ndarray:
     if grid.size == 0 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0) and grid[0] >= 0):
         raise ValueError("output times must be finite, strictly increasing and non-negative")
     return grid
+
+
+def format_float(x: float) -> str:
+    """A number as every artifact writes it: ``%.16e``, which reads back exactly."""
+    return "%.16e" % x
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -18,8 +18,8 @@ d = E0 + gamma, E0 the circulant's levels (one FFT). Its eigenvalues are the
 roots of the secular equation (gamma/N) sum_k 1/(d_k - E) = 1 and its
 eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), so every block is
 solved in O(N^2) per root-finder sweep; dense ``eig`` is the per-block
-fallback. Blocks q and -q are transposes of each other, so only
-(N + 1)/2 blocks are solved.
+fallback. Blocks q and -q are transposes of each other, so one walk over
+the blocks (``_blocks``) solves only (N + 1)/2 of them and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, displacement_axis, hopping_row, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, displacement_axis, format_float, hopping_row, output_times, sum_r2_hopping_sq, write_csv
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -110,16 +110,27 @@ def initial_g_delta(params: ModelParams, site: int | None = None) -> Correlation
     return CorrelationMatrix(0.0, G, params.bc)
 
 
-def _check_G(G: np.ndarray, trace0: float, t: float):
-    herm = float(np.max(np.abs(G - G.conj().T)))
-    if herm > HERMITICITY_TOL:
-        raise PropagationError(f"hermiticity drift {herm:.3e} at t = {t}")
-    tr = float(G.trace().real)
-    if abs(tr - trace0) > TRACE_TOL * max(1.0, abs(trace0)):
-        raise PropagationError(f"trace drift {tr - trace0:.3e} at t = {t}")
-    dmin = float(G.diagonal().real.min())
-    if dmin < DIAG_NEGATIVITY_TOL:
-        raise PropagationError(f"negative population {dmin:.3e} at t = {t}")
+def _states(G0, params: ModelParams, t, evolve) -> list[CorrelationMatrix]:
+    """The frame of both G propagators: ``evolve(G0, ts)`` gives the states at the times ts > 0.
+
+    The t = 0 state is G0 itself, exactly. Every state is checked for
+    hermiticity, trace and population positivity (:class:`PropagationError`).
+    """
+    ts = output_times(t)
+    G0 = np.array(G0.G if isinstance(G0, CorrelationMatrix) else G0, dtype=complex)
+    trace0 = float(G0.trace().real)
+    later = ts[ts > 0]  # t = 0, if asked for, is G0 itself
+    Gs = [G0] * (ts.size - later.size) + (list(evolve(G0, later)) if later.size else [])
+    out = []
+    for tv, G in zip(map(float, ts), Gs):
+        cm = CorrelationMatrix(tv, G, params.bc).check()
+        if abs(cm.trace() - trace0) > TRACE_TOL * max(1.0, abs(trace0)):
+            raise PropagationError(f"trace drift {cm.trace() - trace0:.3e} at t = {tv}")
+        dmin = float(cm.density.min())
+        if dmin < DIAG_NEGATIVITY_TOL:
+            raise PropagationError(f"negative population {dmin:.3e} at t = {tv}")
+        out.append(cm)
+    return out
 
 
 def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> list[CorrelationMatrix]:
@@ -127,52 +138,38 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> list[Corr
 
     DOP853 runs at the module tolerances ``ODE_RTOL`` and ``ODE_ATOL``.
     Output times must be strictly increasing, non-negative and finite
-    (``ValueError`` otherwise). Hermiticity, trace conservation, and
-    population positivity are asserted at every output time; a breach raises
-    :class:`PropagationError`.
+    (``ValueError`` otherwise); t = 0 returns G0 exactly. Hermiticity, trace
+    conservation, and population positivity are asserted at every output
+    time; a breach raises :class:`PropagationError`.
     """
-    t_grid = output_times(t_grid)
     N = params.N
-    h = build_h(params)
-    hT = h.T.copy()
+    hT = build_h(params).T.copy()
     gamma = params.gamma
-    Gin = G0.G if isinstance(G0, CorrelationMatrix) else np.asarray(G0, dtype=complex)
-    trace0 = float(Gin.trace().real)
 
     def rhs(t, y):
         G = y.view(complex).reshape(N, N)
         dG = 1j * (hT @ G - G @ hT) - gamma * (G - np.diag(np.diag(G)))
         return dG.ravel().view(float)
 
-    Y = Gin.astype(complex).ravel().view(float)[:, None]  # the grid [0.0] needs no integration
-    if t_grid[-1] > 0:
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(t_grid[-1])),
-            Y[:, 0],
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-        )
+    def evolve(G, ts):
+        y0 = G.ravel().view(float)
+        sol = solve_ivp(rhs, (0.0, float(ts[-1])), y0, t_eval=ts, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL)
         if not sol.success:
             raise PropagationError(f"integrator failed: {sol.message}")
-        Y = sol.y
-    out = []
-    for k, t in enumerate(t_grid):
-        G = Y[:, k].copy().view(complex).reshape(N, N)
-        _check_G(G, trace0, float(t))
-        out.append(CorrelationMatrix(float(t), G, params.bc))
-    return out
+        return [y.copy().view(complex).reshape(N, N) for y in sol.y.T]
+
+    return _states(G0, params, t_grid, evolve)
 
 
 def variance_of_density(cm: CorrelationMatrix, origin: int | None = None) -> float:
-    """Variance of the exciton density in displacement coordinates."""
+    """Variance of the exciton density in displacements from ``origin``.
+
+    The default origin is the site N // 2 that :func:`initial_g_delta`
+    excites, on both bcs; rings measure the minimum image.
+    """
     n = cm.density
     N = n.size
-    if origin is None:
-        origin = N // 2 if cm.bc == "open" else 0
-    x = displacement_axis(N, origin, cm.bc).astype(float)
+    x = displacement_axis(N, N // 2 if origin is None else origin, cm.bc).astype(float)
     mean = float(n @ x)
     return float(n @ x**2) - mean**2
 
@@ -255,11 +252,8 @@ def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> 
     N = params.N
     gamma = params.gamma
     if q_index % N == 0:
-        # C_0 vanishes identically, so gamma X is the exact block: one steady
-        # mode plus an (N-1)-fold level at gamma (no series needed)
-        out = np.full(N, gamma, dtype=complex)
-        out[0] = 0.0
-        return out
+        # C_0 vanishes identically, so gamma X is the exact block (no series needed)
+        return _steady_block(params).eigenvalues
     E0 = unperturbed_spectrum(q_index, params)
     E = E0 + gamma * (N - 1) / N
     if order == 1:
@@ -456,29 +450,30 @@ def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
     return _dense_block(q_index, params)
 
 
-def _mirror(s: SpectralSet, N: int) -> SpectralSet:
-    """Block -q from block q: M_{-q} = M_q^T = P M_q P, eigenvectors P v_j."""
-    V = s.eigenvectors[_reflect(N)]
-    return SpectralSet(
-        (N - s.q_index) % N, s.eigenvalues.copy(), V, s.branch.copy(), s.residual, s.condition, s.solver
-    )
+def _blocks(params: ModelParams):
+    """All N momentum blocks, solving only q = 0..(N-1)/2.
 
-
-def _half_spectrum(params: ModelParams):
-    """Blocks q = 0..(N-1)/2, solved one at a time; the rest are their mirrors."""
-    for qi in range((params.N + 1) // 2):
-        yield solve_dephasing_block(qi, params)
+    Each block q > 0 is followed by its mirror N - q: M_{-q} = M_q^T =
+    P M_q P, so block -q shares the eigenvalues of block q and has the
+    eigenvectors P v_j. A caller holds at most one block pair at a time.
+    """
+    N = params.N
+    flip = _reflect(N)
+    for qi in range((N + 1) // 2):
+        s = solve_dephasing_block(qi, params)
+        yield s
+        if qi:
+            yield replace(s, q_index=N - qi, eigenvectors=s.eigenvectors[flip])
 
 
 def solve_dephasing_spectrum(params: ModelParams) -> list[SpectralSet]:
     """All N momentum blocks (deterministic q order)."""
-    N = params.N
-    sets = [None] * N
-    for s in _half_spectrum(params):
-        sets[s.q_index] = s
-        if s.q_index:
-            sets[N - s.q_index] = _mirror(s, N)
-    return sets
+    return sorted(_blocks(params), key=lambda s: s.q_index)
+
+
+def decaying(re: np.ndarray, gamma: float) -> np.ndarray:
+    """The real parts ``re`` of eigenvalues that decay: those above 1e-12 gamma, the steady mode's zero."""
+    return re[re > 1e-12 * gamma]
 
 
 @dataclass
@@ -498,13 +493,12 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
     real_gap: smallest nonzero real part among real-classified eigenvalues
     (the slow branch); complex_gap: smallest real part of the complex branch,
     which perturbation theory places at gamma (N-1)/N. Each block drops its
-    eigenvectors once solved; block N - q is block q under the mirrored index.
+    eigenvectors once solved.
     """
-    half = [replace(s, eigenvectors=None) for s in _half_spectrum(params)]
-    sets = half + [replace(s, q_index=params.N - s.q_index) for s in reversed(half[1:])]
+    sets = sorted((replace(s, eigenvectors=None) for s in _blocks(params)), key=lambda s: s.q_index)
     re = np.concatenate([s.eigenvalues.real for s in sets])
     real = np.concatenate([s.branch for s in sets]) == "real"
-    slow = re[real & (re > 1e-12 * params.gamma)]
+    slow = decaying(re[real], params.gamma)
     return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, sets)
 
 
@@ -516,49 +510,40 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_lim
     G(0) over the center coordinate, project each momentum component on the
     left eigenvectors P v_j of its block (P the reflection m -> -m), damp each
     coefficient by e^{-E t}, and transform back. Output times must be
-    strictly increasing, non-negative and finite; hermiticity, trace and
-    population positivity are checked at every one, as in :func:`propagate_G`, which it
-    agrees with. An ill-conditioned eigenbasis raises
-    :class:`ConditioningError` with the offending block.
+    strictly increasing, non-negative and finite, and t = 0 returns G0
+    exactly; hermiticity, trace and population positivity are checked at
+    every one, as in :func:`propagate_G`, which it agrees with. An
+    ill-conditioned eigenbasis raises :class:`ConditioningError` with the
+    offending block.
     """
     _require_odd_ring(params)
     N = params.N
-    ts = output_times(t)
-    Gin = G0.G if isinstance(G0, CorrelationMatrix) else np.asarray(G0, dtype=complex)
-    trace0 = float(Gin.trace().real)
     # shifted-diagonal representation: S[j, mu] = G_{j, (j+mu) mod N};
     # the block label q enters as G ~ e^{+iqj}, so analysis is fft/N
     j = np.arange(N)
     shift = (j[:, None] + j[None, :]) % N
-    ghat = np.fft.fft(Gin[j[:, None], shift], axis=0) / N  # ghat[q, mu]
     flip = _reflect(N)
-    # one N x N slab per output time: the evolved ghat[q, mu] first, G after
-    slabs = np.empty((ts.size, N, N), dtype=complex)
-    for s in _half_spectrum(params):
-        if s.condition > cond_limit:
-            raise ConditioningError(
-                f"eigenbasis condition {s.condition:.2e} at q index {s.q_index} "
-                f"exceeds {cond_limit:.1e}; fall back to propagate_G"
-            )
-        V = s.eigenvectors
-        norms = _pairing_norms(V)
-        decay = np.exp(-np.outer(s.eigenvalues, ts))
-        q = s.q_index
-        c = (V.T @ ghat[q][flip]) / norms
-        slabs[:, q, :] = (V @ (c[:, None] * decay)).T
-        if q:
-            # block -q has right eigenvectors P v_j and left ones v_j
-            c = (V.T @ ghat[N - q]) / norms
-            slabs[:, N - q, :] = (V @ (c[:, None] * decay))[flip].T
-    out = []
-    for G, tv in zip(slabs, ts):
-        # back to site representation: G_{j, j+mu} = sum_q e^{iqj} slab[q, mu]
-        G[j[:, None], shift] = np.fft.ifft(G, axis=0) * N
-        _check_G(G, trace0, float(tv))
-        out.append(CorrelationMatrix(float(tv), G, params.bc))
-    if np.ndim(t) == 0:
-        return out[0]
-    return out
+
+    def evolve(Gin, ts):
+        ghat = np.fft.fft(Gin[j[:, None], shift], axis=0) / N  # ghat[q, mu]
+        # one N x N slab per output time: the evolved ghat[q, mu] first, G after
+        slabs = np.empty((ts.size, N, N), dtype=complex)
+        for s in _blocks(params):
+            if s.condition > cond_limit:
+                raise ConditioningError(
+                    f"eigenbasis condition {s.condition:.2e} at q index {s.q_index} "
+                    f"exceeds {cond_limit:.1e}; fall back to propagate_G"
+                )
+            V = s.eigenvectors
+            c = (V.T @ ghat[s.q_index][flip]) / _pairing_norms(V)
+            slabs[:, s.q_index, :] = (V @ (c[:, None] * np.exp(-np.outer(s.eigenvalues, ts)))).T
+        for G in slabs:
+            # back to site representation: G_{j, j+mu} = sum_q e^{iqj} slab[q, mu]
+            G[j[:, None], shift] = np.fft.ifft(G, axis=0) * N
+        return slabs
+
+    out = _states(G0, params, t, evolve)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 SPECTRUM_CSV_HEADER = "q_index,k_index,re_E,im_E,branch"
@@ -568,7 +553,7 @@ def spectrum_rows(sets: list[SpectralSet]):
     """CSV rows under :data:`SPECTRUM_CSV_HEADER`, one per eigenvalue."""
     for s in sets:
         for k, E in enumerate(s.eigenvalues):
-            yield str(s.q_index), str(k), "%.16e" % E.real, "%.16e" % E.imag, s.branch[k]
+            yield str(s.q_index), str(k), format_float(E.real), format_float(E.imag), s.branch[k]
 
 
 def spectra_to_csv(sets: list[SpectralSet], path):

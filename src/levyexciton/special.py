@@ -65,8 +65,9 @@ def polylog_circle(beta: float, q: float) -> complex:
 
     At q = 0 the series is zeta(beta) and requires beta > 1; elsewhere any
     beta > 0 is admitted (for beta <= 1 the value grows without bound as
-    q -> 0). Accuracy 1e-10 absolute or better, relative where the value
-    exceeds 1. The real and imaginary parts are the d = 1 Ewald sums
+    q -> 0), except a q whose q/2pi falls below the normal float range
+    (``ValueError``). Accuracy 1e-10 absolute or better, relative where the
+    value exceeds 1. The real and imaginary parts are the d = 1 Ewald sums
     :func:`_epstein_cos` and :func:`_epstein_sin`, halved.
     """
     beta = float(beta)
@@ -79,6 +80,8 @@ def polylog_circle(beta: float, q: float) -> complex:
         if beta <= 1:
             raise ValueError("Li_beta(1) diverges for beta <= 1")
         return complex(riemann_zeta(beta), 0.0)
+    if abs(q) / (2.0 * math.pi) < np.finfo(float).tiny:  # the Ewald shift q/2pi would lose its digits
+        raise ValueError(f"q = {q!r} is too small to resolve: q/2pi is below the normal float range")
     return complex(0.5 * _epstein_cos(beta, 1, np.array([q])), 0.5 * _epstein_sin(beta, q))
 
 

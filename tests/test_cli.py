@@ -306,6 +306,8 @@ class TestMain:
         )
         cfg = write_config(tmp_path, text=text)
         assert main(["--config", str(cfg)]) == 3
+        # the fit runs before any artifact is written, so the failed run leaves none
+        assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize(
         "flags",

@@ -365,6 +365,35 @@ class TestRelaxationFit:
         assert fit.beta == 2.0
         assert fit.b_alpha == pytest.approx(b, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_fit_inverts_the_relaxation_time_law(self, alpha):
+        beta, b = (2.0 if alpha >= 1.5 else 2 * alpha - 1.0), 0.7
+        Ns = [100, 200, 400, 800]
+        series = []
+        for N in Ns:
+            tau = manybody.relaxation_time(N, alpha, beta, b)
+            ts = np.linspace(0.0, 16 * tau, 400)
+            series.append((ts, 0.5 * np.exp(-ts / tau)))
+        fit = relaxation_fit(series, Ns, alpha=alpha)
+        assert fit.critical == (alpha == 1.5)
+        assert fit.beta == pytest.approx(beta, abs=1e-6)
+        assert fit.b_alpha == pytest.approx(b, rel=1e-4)
+
+    def test_expected_relaxation_time_per_regime(self):
+        from levyexciton.analytic import coefficients
+        from levyexciton.cli import _relax_time_grid
+
+        N = 100
+        D = coefficients(chain(2.0, N=N)).D_alpha
+        for alpha, tau in [
+            (1.0, N / (2 * math.pi**2)),  # beta = 2 alpha - 1, b = pi kappa
+            (1.5, N**2 * math.log(N) / (2 * math.pi**2)),  # b = kappa and the log N factor
+            (2.0, N**2 / (2 * math.pi**2 * D)),  # b = D_alpha
+        ]:
+            p = chain(alpha, N=N)
+            assert manybody.expected_relaxation_time(p, N) == pytest.approx(tau, rel=1e-14)
+            assert _relax_time_grid(p, N)[-1] == pytest.approx(18 * tau, rel=1e-14)
+
     def test_tau_increasing_in_N(self):
         p = chain(2.0)
         Ns = [50, 100, 200, 400]

@@ -67,6 +67,19 @@ class TestPropagation:
         assert np.max(np.abs(got - ref)) < 1e-6
 
 
+class TestVarianceOrigin:
+    def test_ring_default_origin_is_the_excited_site(self):
+        # initial_g_delta excites site N // 2; measured about site 0 the
+        # minimum-image wrap cuts through the exciton and the variance
+        # (89.8 here) exceeds that of the uniform ring, (N^2 - 1)/12 = 80
+        p = ring(2.0, 31, gamma=0.1)
+        (state,) = propagate_G(initial_g_delta(p), p, [5.0])
+        var = variance_of_density(state)
+        assert var == variance_of_density(state, origin=15)
+        assert var < (31**2 - 1) / 12
+        assert var == pytest.approx(68.92, abs=0.01)
+
+
 class TestClosedFormVariance:
     def test_zero_at_zero(self):
         assert variance_closed_form(mp(2.0), 0.0) == 0.0
@@ -404,6 +417,29 @@ class TestSecularSolver:
         assert summary.n_real == sum(int(np.sum((s.branch == "real") & (s.eigenvalues.real > 1e-12))) for s in full)
 
 
+class TestBlockWalk:
+    def test_each_half_block_solved_once_and_all_blocks_covered(self, monkeypatch):
+        # the walk solves q = 0..(N-1)/2 once each, in order, and mirrors the rest
+        p = ring(2.0, 21, gamma=1.0)
+        solved = []
+        solve = quantum.solve_dephasing_block
+
+        def counting(q_index, params):
+            solved.append(q_index)
+            return solve(q_index, params)
+
+        monkeypatch.setattr(quantum, "solve_dephasing_block", counting)
+        for blocks in (solve_dephasing_spectrum, lambda p: slow_modes(p).sets):
+            sets = blocks(p)
+            assert solved == list(range(11))
+            assert [s.q_index for s in sets] == list(range(21))
+            solved.clear()
+        states = spectral_propagate_G(initial_g_delta(p), p, [0.5, 2.0])
+        assert solved == list(range(11))
+        ode = propagate_G(initial_g_delta(p), p, [0.5, 2.0])
+        assert max(np.max(np.abs(a.G - b.G)) for a, b in zip(states, ode)) < 1e-8
+
+
 class TestPropagatorParity:
     @pytest.mark.parametrize("grid", [[-1.0], [0.0, 2.0, 1.0], [1.0, 1.0], [np.nan], [1.0, np.inf]])
     @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
@@ -419,6 +455,19 @@ class TestPropagatorParity:
         (state,) = propagate(G0, p, [0.0])
         assert state.t == 0.0
         assert np.max(np.abs(state.G - G0.G)) < 1e-12
+
+    @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
+    def test_t0_state_is_the_input_bit_for_bit(self, propagate):
+        # a pure state of random amplitudes: the spectral FFT round trip moves
+        # it by rounding, so t = 0 must not go through the propagator at all
+        p = ring(2.0, 21, gamma=1.0)
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=21) + 1j * rng.normal(size=21)
+        G0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        states = propagate(G0.copy(), p, [0.0, 1.0])
+        assert states[0].t == 0.0
+        assert np.array_equal(states[0].G, G0)
+        assert states[1].G is not states[0].G
 
     def test_scalar_negative_time_refused(self):
         p = ring(2.0, 11)

@@ -184,6 +184,23 @@ class TestPolylogCircle:
         assert got.imag == pytest.approx(ref.imag, rel=1e-12, abs=1e-12)  # Im is 1.25e85 at beta = 0.5
         assert got.real == pytest.approx(ref.real, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("q", [5e-324, -5e-324, 1e-310])
+    def test_q_whose_ewald_shift_underflows_is_refused(self, beta, q):
+        # q/2pi underflows (5e-324) or is subnormal (1e-310), so the Ewald
+        # split would read q as 0, or keep only a few of its digits; refused
+        # instead of returning inf + nan j with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too small"):
+                polylog_circle(beta, q)
+            # the smallest q it resolves gives the leading term Gamma(1 - beta) (-iq)^(beta - 1)
+            q = 2.0 * math.pi * np.finfo(float).tiny
+            got = polylog_circle(beta, q)
+        lead = complex(-math.log(q), math.pi / 2) if beta == 1.0 else math.gamma(1 - beta) * (-1j * q) ** (beta - 1)
+        assert np.isfinite(got.real) and np.isfinite(got.imag)
+        assert abs(got - lead) <= 1e-12 * abs(lead)
+
     def test_derivative_chain(self):
         # d/dq Re Li_beta(e^{iq}) = -Im Li_{beta-1}(e^{iq}) to 1e-6 by central differences
         h = 1e-5
