@@ -4,7 +4,8 @@ Starting from a domain wall (left half occupied), the exclusion process
 spreads with power-law occupation tails ~ kappa t / j^(2 alpha - 1) and
 relaxes to the flat profile exponentially, with a half-time growing as
 tau ~ N^beta: beta = 2 alpha - 1 below the critical exponent (faster
-equilibration for longer range) and beta = 2 above it.
+equilibration for longer range), beta = 2 above it, and
+tau ~ N^2 / (ln(N/pi) + 3/2) at alpha_cr = 3/2.
 
 Cross-checks the stochastic sampler against the exact linear occupation
 dynamics (duality), then extracts (beta, b_alpha) from chi^2 decay.
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from levyexciton.manybody import (
-    chi_squared_series,
+    OddSector,
     domain_wall_config,
     kmc_simulate,
     occupation_evolution,
@@ -64,15 +65,12 @@ print(f"\nduality check (4000 trajectories): max deviation {np.max(np.abs(res.me
 
 print("\nrelaxation scaling over N in {100, 200, 400, 800}:")
 for alpha, b_ref, name in ((1.0, math.pi, "C_1/kappa = pi"),
+                           (1.5, 1.0, "kappa at alpha_cr"),
                            (2.0, math.pi**2 / 6, "zeta(2)"),
                            (3.0, math.pi**4 / 90, "zeta(4)")):
     Ns = [100, 200, 400, 800]
-    series = []
-    for N in Ns:
-        beta_g = 2.0 if alpha > 1.5 else 2 * alpha - 1
-        tau_g = N**beta_g / (2 * math.pi**beta_g * b_ref)
-        t_grid = np.linspace(0.0, 18 * tau_g, 400)
-        series.append((t_grid, chi_squared_series(occupation_evolution(chain(alpha, N), t_grid))))
+    # each size's grid spans 18 decay times of its slowest odd-sector mode
+    series = [OddSector(chain(alpha, N)).relaxation_series() for N in Ns]
     fit = relaxation_fit(series, Ns, alpha)
     print(f"  alpha = {alpha}: beta = {fit.beta:.3f}, b/kappa = {fit.b_alpha:.3f} (compare {name} = {b_ref:.3f})")
     (OUT / f"relaxation_alpha{alpha:g}.txt").write_text(relaxation_summary(fit, alpha))

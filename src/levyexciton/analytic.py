@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import wofz, zeta
 
 from .model import ModelParams, finite_lattice_sum
-from .special import _epstein_cos, DAWSON_STABILITY_RADIUS, gamma_fn, lambert_w_m1, riemann_zeta
+from .special import _epstein_cos, gamma_fn, lambert_w_m1, riemann_zeta
 
 _INTEGER_TOL = 1e-9
 
@@ -293,9 +293,9 @@ def exact_profile_alpha1(j, t: float, params: ModelParams):
     For integer j the two exploding e^{-z^2} halves of the Dawson values
     cancel identically (sin(pi j) = 0), leaving the numerically stable
     reduction n_j = Im w(z_+) / sqrt(2 pi k t) with w the Faddeeva function
-    (``scipy.special.wofz``); that reduction is what is evaluated here. Once
-    the Dawson argument leaves the stability radius the asymptotic tail
-    kappa t / j^2 takes over.
+    (``scipy.special.wofz``); that reduction is what is evaluated here, at
+    every j: ``wofz`` keeps its accuracy far beyond the Dawson stability
+    radius, where the tail kappa t / j^2 is still percents off.
     """
     if abs(params.alpha - 1.0) > 1e-12 or params.d != 1:
         raise ValueError("closed form holds for alpha = 1, d = 1")
@@ -306,17 +306,8 @@ def exact_profile_alpha1(j, t: float, params: ModelParams):
     if not np.all(jj == np.round(jj)):
         raise ValueError("site index must be integer")
     jabs = np.abs(jj.astype(float))
-    s2 = math.sqrt(2.0 * kt)
-    zplus = (1j * jabs + math.pi * kt) / s2
-    inside = np.abs(zplus) <= DAWSON_STABILITY_RADIUS
-    out = np.empty_like(jabs)
-    if np.any(inside):
-        out[inside] = np.imag(wofz(zplus[inside])) / math.sqrt(2.0 * math.pi * kt)
-    if np.any(~inside):
-        out[~inside] = kt / jabs[~inside] ** 2
-    if np.isscalar(j) or (isinstance(j, np.ndarray) and np.asarray(j).ndim == 0):
-        return float(out[0])
-    return out
+    out = np.imag(wofz((1j * jabs + math.pi * kt) / math.sqrt(2.0 * kt))) / math.sqrt(2.0 * math.pi * kt)
+    return float(out[0]) if np.ndim(j) == 0 else out
 
 
 # -- crossover scales -----------------------------------------------------------------

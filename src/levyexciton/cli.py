@@ -349,26 +349,21 @@ def _run_classical_moments(config: ExperimentConfig, col: _Collector):
     col.csv("moments.csv", config.run.tag, header, rows())
 
 
-def _relax_time_grid(params: ModelParams, N: int) -> np.ndarray:
-    """360 points up to 18 times the expected chi^2 decay time of an N-site chain."""
-    return np.linspace(0.0, 18.0 * manybody.expected_relaxation_time(params, N), 360)
-
-
 def _run_manybody_relax(config: ExperimentConfig, col: _Collector):
     # compute and fit everything first: a solver or fit failure then writes nothing
     p = config.model
     run = config.run
     times = _time_grid(config)
     sizes = run.n_list or [p.N]
-    series = []
-    for N in sizes:
-        pn = replace(p, N=N)
-        ts = times if times is not None and run.n_list is None else _relax_time_grid(pn, N)
-        series.append((ts, manybody.chi_squared_series(manybody.occupation_evolution(pn, ts))))
-    fit = manybody.relaxation_fit(series, sizes, p.alpha) if len(sizes) >= 4 else None
+    modes = {N: manybody.OddSector(replace(p, N=N)) for N in dict.fromkeys([*sizes, p.N])}  # one eigh per size
+    # each size's chi^2 on its slowest-mode grid, unless times are set without an n_list
+    grids = times is None or run.n_list is not None
+    series = [modes[N].relaxation_series() for N in sizes] if grids else []
     # occupation profile for the configured N at the requested times
     ts_occ = times if times is not None else series[-1][0][:: max(1, len(series[-1][0]) // 8)]
-    lin = manybody.occupation_evolution(p, ts_occ)
+    lin = modes[p.N].occupations(ts_occ)
+    series = series or [(times, manybody.chi_squared_series(lin))]
+    fit = manybody.relaxation_fit(series, sizes, p.alpha) if len(sizes) >= 4 else None
     wall = manybody.domain_wall_config(p.N)
     ens = manybody.kmc_simulate(wall, p, ts_occ, run.trajectories, run.seed) if run.trajectories > 0 else None
     for N, (ts, chi) in zip(sizes, series):
@@ -561,7 +556,7 @@ def figure_presets() -> dict[str, list[ExperimentConfig]]:
             mp(alpha=a, N=100, bc="open", gamma=2.0),
             RunOptions(n_list=[100, 200, 400, 800], tag=f"a{int(10 * a)}"),
         )
-        for a in (1.0, 2.0, 3.0)
+        for a in (1.0, 1.5, 2.0, 3.0)
     ]
     presets["figS1"] = [
         ExperimentConfig(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import coefficients, critical_alpha
+from .analytic import critical_alpha
 from .model import ModelParams, format_float, open_line_rates, output_times
 
 CHI2_FIT_WINDOW = (1e-6, 1e-2)
@@ -99,9 +99,7 @@ def kmc_simulate(
     ``trajectory_rng(seed, i)``, in blocks of 128 events, each block three
     calls in this order: ``exponential(1/Lambda, 128)`` gaps,
     ``integers(0, n, 128)`` particles and ``uniform(0, sum w, 128)`` jump
-    variates; it thus depends on (seed, i) alone. CLI runs with
-    ``trajectories > 0`` write other ``kmc.csv`` and ``duality_check.txt``
-    bytes than the earlier Gillespie sampler did.
+    variates; it thus depends on (seed, i) alone.
 
     Output time t holds the state after every event at or before t, so t = 0
     is ``config0`` exactly. The mean is an exact integer count over
@@ -167,55 +165,82 @@ def kmc_simulate(
 # -- linear occupation dynamics -----------------------------------------------------
 
 
-def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.ndarray:
-    """Occupation profile n_j(t) of the domain wall under the linear equation.
+def _wall_chain(params: ModelParams) -> None:
+    if params.bc != "open" or params.d != 1 or params.N % 2:
+        raise ValueError(f"domain wall needs an even open chain, got d={params.d}, bc={params.bc}, N={params.N}")
 
-    The generator is identical to the classical single-particle one on the
-    open chain (duality). ``method="eig"`` uses that the generator commutes
-    with the reflection j -> N-1-j while n - 1/2 is odd under it: the left
-    half y = (n - 1/2)[:N/2] obeys dy/dt = W_odd y with the real symmetric
-    block W_odd[i, k] = w(|i - k|) - w(N-1-i-k) - delta_ik escape_i. One
-    ``eigh`` of size N/2 then evolves every output time exactly, and
-    n[N/2:] = 1/2 - y[::-1] makes mass N/2 and particle-hole symmetry exact
-    by construction. ``method="ode"`` reuses the classical propagator
-    (:func:`levyexciton.classical.cme_integrate`, a Chebyshev series in the
-    full generator) as an independent cross-check. Either route refuses an
-    occupation outside [0, 1] by more than 1e-12.
+
+def _odd_block(params: ModelParams) -> np.ndarray:
+    """The generator on the domain wall's odd sector, a real symmetric N/2 block.
+
+    The generator commutes with the reflection j -> N-1-j while n - 1/2 is
+    odd under it: y = (n - 1/2)[:N/2] obeys dy/dt = W y with
+    W[i, k] = w(|i - k|) - w(N-1-i-k) - delta_ik escape_i.
     """
-    if params.bc != "open" or params.d != 1:
-        raise ValueError("occupation dynamics runs on the open chain")
-    if params.N % 2:
-        raise ValueError("domain wall needs even N")
-    times = output_times(times)
-    N, half = params.N, params.N // 2
-    if method == "eig":
-        w = open_line_rates(params)
-        i = np.arange(half)
-        image = w[N - 1 - i[:, None] - i]  # w(l - i) at l = N-1-k, the mirror of k
-        W = w[np.abs(i[:, None] - i)] - image
-        # row i leaks 2 sum_k image[i, k] into the right half; summing that
-        # directly, not as escape rate minus in-half rates, keeps the slow
-        # rates accurate when w decays fast
-        np.fill_diagonal(W, 0.0)
-        W[i, i] = -W.sum(axis=1) - 2.0 * image.sum(axis=1)
-        lam, U = np.linalg.eigh(W)
-        c = U.T @ np.full(half, 0.5)
-        y = (np.exp(np.outer(times, lam)) * c) @ U.T
-        y[times == 0] = 0.5  # the wall itself, exactly, as on the ODE route
-        out = np.empty((times.size, N))
-        out[:, :half] = 0.5 + y
-        out[:, half:] = 0.5 - y[:, ::-1]
-    elif method == "ode":
-        from .classical import cme_integrate
+    _wall_chain(params)
+    N, w = params.N, open_line_rates(params)
+    i = np.arange(N // 2)
+    image = w[N - 1 - i[:, None] - i]  # w(l - i) at l = N-1-k, the mirror of k
+    W = w[np.abs(i[:, None] - i)] - image
+    # row i leaks 2 sum_k image[i, k] into the right half; summing that
+    # directly, not as escape rate minus in-half rates, keeps the slow
+    # rates accurate when w decays fast
+    np.fill_diagonal(W, 0.0)
+    W[i, i] = -W.sum(axis=1) - 2.0 * image.sum(axis=1)
+    return W
 
-        n0 = domain_wall_config(N).occupations.astype(float)
-        out = np.array([prof.values for prof in cme_integrate(n0, params, times)])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+
+def _in_unit_interval(out: np.ndarray) -> np.ndarray:
     lo, hi = float(out.min()), float(out.max())
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise RuntimeError(f"occupations [{lo:.3e}, {hi:.3e}] leave [0, 1] in occupation evolution")
     return out
+
+
+class OddSector:
+    """The domain wall's odd-sector modes, y(t) = U e^{lam t} c, from one ``eigh``;
+    the largest eigenvalue lam_1 sets the chi^2 decay time tau = 1/(2 |lam_1|)."""
+
+    def __init__(self, params: ModelParams):
+        self.N = params.N
+        self.lam, self.U = np.linalg.eigh(_odd_block(params))
+        self.c = self.U.T @ np.full(self.N // 2, 0.5)
+        self.tau = -0.5 / float(self.lam[-1])
+
+    def occupations(self, times) -> np.ndarray:
+        """n_j(t); n[N/2:] = 1/2 - y[::-1] makes mass and particle-hole symmetry exact."""
+        times = output_times(times)
+        y = (np.exp(np.outer(times, self.lam)) * self.c) @ self.U.T
+        y[times == 0] = 0.5  # the wall itself, exactly, as on the ODE route
+        return _in_unit_interval(np.hstack((0.5 + y, 0.5 - y[:, ::-1])))
+
+    def relaxation_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """chi^2/N = (4/N) sum_k c_k^2 e^{2 lam_k t} on 360 points up to 18 tau; no profile."""
+        times = np.linspace(0.0, 18.0 * self.tau, 360)
+        chi = np.exp(2.0 * np.outer(times, self.lam)) @ self.c**2 * (4.0 / self.N)
+        chi[0] = 0.5
+        return times, chi
+
+
+def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.ndarray:
+    """Occupation profile n_j(t) of the domain wall under the linear equation.
+
+    The generator is the classical single-particle one (duality).
+    ``method="eig"`` evolves every output time exactly by :class:`OddSector`;
+    ``method="ode"`` cross-checks with the Chebyshev series of
+    :func:`levyexciton.classical.cme_integrate` in the full generator. Either
+    route refuses an occupation outside [0, 1] by more than 1e-12.
+    """
+    _wall_chain(params)
+    times = output_times(times)
+    if method == "eig":
+        return OddSector(params).occupations(times)
+    if method != "ode":
+        raise ValueError(f"unknown method {method!r}")
+    from .classical import cme_integrate
+
+    n0 = domain_wall_config(params.N).occupations.astype(float)
+    return _in_unit_interval(np.array([prof.values for prof in cme_integrate(n0, params, times)]))
 
 
 def particle_hole_asymmetry(trajectory: np.ndarray):
@@ -240,10 +265,9 @@ def chi_squared_series(trajectory: np.ndarray) -> np.ndarray:
 class RelaxationFit:
     """tau(N) scaling of the chi^2 decay.
 
-    beta is the dynamical exponent of tau = N^beta / (2 pi^beta b_alpha); at
-    the critical point the model carries the extra log N factor and beta is
-    pinned to 2. b_alpha is the generalized diffusion constant
-    (sites^beta / time).
+    beta is the dynamical exponent of tau = N^beta / (2 pi^beta b_alpha), and b_alpha
+    the generalized diffusion constant (sites^beta / time); at the critical
+    point the model divides by ln(N/pi) + 3/2 and beta is pinned to 2.
     """
 
     Ns: list
@@ -265,9 +289,7 @@ def fit_tau(times: np.ndarray, chi: np.ndarray) -> float:
     lo, hi = CHI2_FIT_WINDOW
     m = (chi >= lo) & (chi <= hi)
     if m.sum() < 5:
-        raise FitWindowError(
-            f"only {int(m.sum())} points inside the chi^2 window [{lo:g}, {hi:g}]"
-        )
+        raise FitWindowError(f"only {int(m.sum())} points inside the chi^2 window [{lo:g}, {hi:g}]")
     span = np.max(chi[m]) / np.min(chi[m])
     if span < 99.0:
         raise FitWindowError(f"window covers {math.log10(span):.2f} decades; need >= 2")
@@ -278,28 +300,18 @@ def fit_tau(times: np.ndarray, chi: np.ndarray) -> float:
 
 
 def _critical(alpha: float) -> bool:
-    """Whether alpha is the chain's alpha_cr, where tau(N) gains a log N factor."""
+    """Whether alpha is the chain's alpha_cr, where tau(N) gains a log factor."""
     return abs(alpha - critical_alpha(1)) < 1e-9
 
 
 def relaxation_time(N: int, alpha: float, beta: float, b: float) -> float:
-    """The tau(N) law of the chi^2 decay: N^beta / (2 pi^beta b), times log N at alpha_cr."""
-    tau = N**beta / (2.0 * math.pi**beta * b)
-    return tau * math.log(N) if _critical(alpha) else tau
+    """The tau(N) law of the chi^2 decay: N^beta / (2 pi^beta b), over ln(N/pi) + 3/2 at alpha_cr.
 
-
-def expected_relaxation_time(params: ModelParams, N: int) -> float:
-    """tau(N) of an N-site chain from the model's coefficients.
-
-    beta = 2 with b = D_alpha above alpha_cr and b = kappa at it; below it,
-    beta = 2 alpha - 1 with b = pi kappa.
+    At alpha_cr the small-q expansion A(q)/kappa = 2 zeta(3) + q^2 ln(q^2)/2
+    - 3 q^2/2 puts the slowest rate at b q^2 (ln(1/q) + 3/2), q = pi/N.
     """
-    a = params.alpha
-    if a > critical_alpha(params.d):
-        return relaxation_time(N, a, 2.0, coefficients(params).D_alpha)  # coefficients refuses alpha <= d/2
-    if _critical(a):
-        return relaxation_time(N, a, 2.0, params.kappa)
-    return relaxation_time(N, a, 2.0 * a - 1.0, math.pi * params.kappa)
+    tau = N**beta / (2.0 * math.pi**beta * b)
+    return tau / (math.log(N / math.pi) + 1.5) if _critical(alpha) else tau
 
 
 def relaxation_fit(series, Ns, alpha: float) -> RelaxationFit:

@@ -132,14 +132,14 @@ def dawson(z) -> complex:
     """Dawson integral D(z) = e^{-z^2} int_0^z e^{u^2} du.
 
     Odd in z; accurate to better than 1e-9 (relative for large values) inside
-    the stability radius |z| <= 25. Larger arguments are refused: the caller
-    is expected to switch to the asymptotic tail instead.
+    the stability radius |z| <= 25. Larger arguments are refused; the
+    Faddeeva function ``scipy.special.wofz`` keeps its accuracy there.
     """
     z = complex(z)
     if abs(z) > DAWSON_STABILITY_RADIUS:
         raise ValueError(
             f"|z| = {abs(z):.3g} outside the Dawson stability radius "
-            f"{DAWSON_STABILITY_RADIUS}; use the asymptotic form"
+            f"{DAWSON_STABILITY_RADIUS}; use scipy.special.wofz"
         )
     return complex(sc.dawsn(z))
 

@@ -2,7 +2,7 @@
 
 Every numerical tolerance is pinned here, not deferred. Four sub-clauses are
 known to be unattainable at the stated desk scales for physical reasons that
-are documented in the project notes (finite-lattice boundary leakage of the
+the README lists under its by-design failures (finite-lattice boundary leakage of the
 exact variance law, slow central-limit convergence of the mixed-regime core,
 the 1/N minimum-image wrap bias of the ring kernel, and slow-branch
 detachment thresholds of the weak-dephasing spectrum); those asserts are kept
@@ -86,7 +86,7 @@ class TestAcceptance:
         assert sup <= 1e-6, (
             f"sup-norm {sup:.3e} exceeds 1e-6: the exact variance law holds on the "
             "infinite lattice; at N=41 boundary leakage contributes ~1.4e-5 by "
-            "gamma t = 100 (see decisions ledger)"
+            "gamma t = 100 (see the README's list of by-design failures)"
         )
 
     def test_04_levy_profile(self):
@@ -127,7 +127,7 @@ class TestAcceptance:
         assert head_dev <= 0.05, (
             f"Gaussian-head deviation {head_dev:.3f} exceeds 5%: the core converges "
             "to the Gaussian only like t^-1/2 (16% at kappa t = 3, 3.7% at kappa "
-            "t = 100); see decisions ledger"
+            "t = 100); see the README's list of by-design failures"
         )
 
     def test_06_higher_d_profiles(self):
@@ -183,7 +183,7 @@ class TestAcceptance:
             f"closed-form-vs-ring sup {sup_dawson:.3e} exceeds 1e-4: the closed form "
             "is exact for the infinite lattice (verified to 1e-15 against "
             "quadrature) and the gap is the ring kernel's minimum-image wrap bias, "
-            "which scales as 1/N and passes at N = 8192; see decisions ledger"
+            "which scales as 1/N and passes at N = 8192; see the README's list of by-design failures"
         )
 
     def test_08_exclusion_duality(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levyexciton import manybody
 from levyexciton.classical import cme_spectral_solve
 from levyexciton.cli import (
     ConfigError,
@@ -199,6 +200,40 @@ class TestRun:
         lines = (tmp_path / "duality_check.txt").read_text().splitlines()
         assert float(dict(line.split(" = ") for line in lines)["max_deviation_over_stderr"]) < 6.0
 
+    def test_critical_relaxation_exit_0(self, tmp_path):
+        # fig2b at alpha_cr = 3/2: the grid comes from each size's slowest mode,
+        # so the fit window holds enough points at every N
+        cfg = ExperimentConfig(
+            "manybody-relax",
+            ModelParams(d=1, alpha=1.5, J=1.0, gamma=2.0, N=100, bc="open"),
+            RunOptions(n_list=[100, 200, 400, 800], out_dir=str(tmp_path)),
+        )
+        run(cfg)
+        fit = dict(line.split(" = ") for line in (tmp_path / "relaxation.txt").read_text().splitlines())
+        assert fit["critical_log_model"] == "True"
+        assert float(fit["beta"]) == 2.0
+        assert float(fit["b_alpha"]) == pytest.approx(cfg.model.kappa, rel=0.1)
+
+    def test_one_eigh_per_size(self, tmp_path, monkeypatch):
+        # the grid, the chi^2 series and the configured N's profile read one
+        # diagonalization of each size's odd-sector block
+        eigh, sizes = np.linalg.eigh, []
+
+        def counting(a):
+            sizes.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for times, n_list in (([0.5], None), (None, [20, 40, 60, 80]), ([0.5, 2.0], [20, 40, 60, 80])):
+            sizes.clear()
+            cfg = ExperimentConfig(
+                "manybody-relax",
+                ModelParams(d=1, alpha=2.0, J=1.0, gamma=2.0, N=40, bc="open"),
+                RunOptions(times=times, n_list=n_list, out_dir=str(tmp_path)),
+            )
+            run(cfg)
+            assert sorted(sizes) == [N // 2 for N in (n_list or [40])]
+
     def test_classical_moments_kind(self, tmp_path):
         cfg = ExperimentConfig(
             "classical-moments",
@@ -296,18 +331,30 @@ class TestMain:
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg)]) == 0
 
-    def test_solver_error_exit_3(self, tmp_path):
-        # the two-site chain's chi^2 falls through the relaxation fit window
-        # within too few grid points, which relaxation_fit refuses
-        text = (
-            CONFIG_TEXT.replace("classical-profile", "manybody-relax")
-            .replace("N = 128\nbc = periodic", "N = 8\nbc = open")
-            .replace("out = {out}", "out = {out}\nn_list = 2, 4, 6, 8")
-        )
-        cfg = write_config(tmp_path, text=text)
+    SMALL_CHAINS = (
+        CONFIG_TEXT.replace("classical-profile", "manybody-relax")
+        .replace("N = 128\nbc = periodic", "N = 8\nbc = open")
+        .replace("out = {out}", "out = {out}\nn_list = 2, 4, 6, 8")
+    )
+
+    def test_solver_error_exit_3(self, tmp_path, monkeypatch):
+        # a relaxation fit that refuses its data is a solver failure
+        def refuse(series, Ns, alpha):
+            raise manybody.FitWindowError("only 4 points inside the chi^2 window")
+
+        monkeypatch.setattr(manybody, "relaxation_fit", refuse)
+        cfg = write_config(tmp_path, text=self.SMALL_CHAINS)
         assert main(["--config", str(cfg)]) == 3
         # the fit runs before any artifact is written, so the failed run leaves none
         assert not list((tmp_path / "out").glob("*"))
+
+    def test_two_site_chain_relaxes_exit_0(self, tmp_path):
+        # each size's grid spans 18 slowest-mode times, so even the two-site
+        # chain's chi^2 = e^{-4 kappa t} / 2 fills the fit window
+        assert main(["--config", str(write_config(tmp_path, text=self.SMALL_CHAINS))]) == 0
+        fit = dict(line.split(" = ") for line in (tmp_path / "out" / "relaxation.txt").read_text().splitlines())
+        tau2 = float(fit["tau_list"].split(", ")[0])
+        assert tau2 == pytest.approx(1 / (4 * 0.2), rel=1e-9)  # kappa = 2 J^2 / gamma = 0.2
 
     @pytest.mark.parametrize(
         "flags",

@@ -9,6 +9,7 @@ from levyexciton import manybody
 from levyexciton.manybody import (
     CHI2_FIT_WINDOW,
     FitWindowError,
+    OddSector,
     SpinConfiguration,
     chi_squared_series,
     domain_wall_config,
@@ -247,17 +248,17 @@ class TestOccupation:
 
     def test_chi2_vs_mpmath_full_generator(self):
         # oracle: 40-digit eigendecomposition of the full N x N generator (no
-        # reflection symmetry used) at three times across the chi^2 fit window
+        # reflection symmetry used) at three times across the chi^2 fit window,
+        # for both the profile route and the mode sum on the slowest-mode grid
         mpmath = pytest.importorskip("mpmath")
-        from levyexciton.cli import _relax_time_grid
 
         N = 40
         p = chain(3.0, N=N)
-        grid = _relax_time_grid(p, N)
-        chi_grid = chi_squared_series(occupation_evolution(p, grid))
+        grid, chi_grid = OddSector(p).relaxation_series()
         lo, hi = CHI2_FIT_WINDOW
         inside = np.flatnonzero((chi_grid >= lo) & (chi_grid <= hi))
-        ts = grid[inside[[0, inside.size // 2, -1]]]
+        picks = inside[[0, inside.size // 2, -1]]
+        ts = grid[picks]
         chi = chi_squared_series(occupation_evolution(p, ts))
         with mpmath.workdps(40):
             w = [mpmath.mpf(0)] + [mpmath.mpf(p.kappa) / mpmath.mpf(r) ** (2 * p.alpha) for r in range(1, N)]
@@ -269,11 +270,12 @@ class TestOccupation:
                 W[i, i] = -mpmath.fsum(w[abs(i - j)] for j in range(N))
             lam, Q = mpmath.eigsy(W)
             c = [mpmath.fsum(Q[j, k] for j in range(N // 2)) for k in range(N)]
-            for t, got in zip(ts, chi):
+            for t, got, summed in zip(ts, chi, chi_grid[picks]):
                 decay = [mpmath.exp(lam[k] * mpmath.mpf(t)) * c[k] for k in range(N)]
                 n = [mpmath.fsum(Q[j, k] * decay[k] for k in range(N)) for j in range(N)]
                 ref = mpmath.fsum((x - mpmath.mpf(1) / 2) ** 2 for x in n) / (N // 2)
                 assert abs(got - float(ref)) <= 1e-11 * float(ref)
+                assert abs(summed - float(ref)) <= 1e-11 * float(ref)
 
 
 class TestParticleHole:
@@ -352,12 +354,12 @@ class TestRelaxationFit:
             fit_tau(ts, chi)
 
     def test_critical_model_uses_log(self):
-        # tau = N^2 log N / (2 pi^2 b): recover b with the critical model
+        # tau = N^2 / (2 pi^2 b (ln(N/pi) + 3/2)): recover b with the critical model
         b = 2.0
         Ns = [100, 200, 400, 800]
         series = []
         for N in Ns:
-            tau = N**2 * math.log(N) / (2 * math.pi**2 * b)
+            tau = N**2 / (2 * math.pi**2 * b * (math.log(N / math.pi) + 1.5))
             ts = np.linspace(0.0, 16 * tau, 400)
             series.append((ts, 0.5 * np.exp(-ts / tau)))
         fit = relaxation_fit(series, Ns, alpha=1.5)
@@ -379,20 +381,33 @@ class TestRelaxationFit:
         assert fit.beta == pytest.approx(beta, abs=1e-6)
         assert fit.b_alpha == pytest.approx(b, rel=1e-4)
 
-    def test_expected_relaxation_time_per_regime(self):
-        from levyexciton.analytic import coefficients
-        from levyexciton.cli import _relax_time_grid
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_slowest_mode_matches_full_generator(self, alpha):
+        # the odd-sector spectrum is the part of the full N x N generator's
+        # spectrum whose modes are odd under j -> N-1-j; every regime reads
+        # its grid from the largest of those eigenvalues
+        N = 60
+        p = chain(alpha, N=N)
+        w = open_line_rates(p)
+        r = np.arange(N)
+        W = w[np.abs(r[:, None] - r)]
+        W -= np.diag(W.sum(axis=1))
+        lam, Q = np.linalg.eigh(W)
+        odd = np.linalg.norm(Q + Q[::-1], axis=0) < 1e-6
+        modes = OddSector(p)
+        np.testing.assert_allclose(modes.lam, lam[odd], rtol=1e-10)
+        assert modes.tau == pytest.approx(0.5 / abs(lam[odd][-1]), rel=1e-12)
+        grid, chi = modes.relaxation_series()
+        assert grid.size == 360 and grid[0] == 0.0 and chi[0] == 0.5
+        assert grid[-1] == pytest.approx(18 * modes.tau, rel=1e-14)
 
-        N = 100
-        D = coefficients(chain(2.0, N=N)).D_alpha
-        for alpha, tau in [
-            (1.0, N / (2 * math.pi**2)),  # beta = 2 alpha - 1, b = pi kappa
-            (1.5, N**2 * math.log(N) / (2 * math.pi**2)),  # b = kappa and the log N factor
-            (2.0, N**2 / (2 * math.pi**2 * D)),  # b = D_alpha
-        ]:
-            p = chain(alpha, N=N)
-            assert manybody.expected_relaxation_time(p, N) == pytest.approx(tau, rel=1e-14)
-            assert _relax_time_grid(p, N)[-1] == pytest.approx(18 * tau, rel=1e-14)
+    @pytest.mark.parametrize("alpha, rtol", [(1.0, 2e-7), (1.5, 1e-10), (2.0, 1e-10), (3.0, 1e-10)])
+    @pytest.mark.parametrize("N", [100, 200, 400, 800])
+    def test_fit_tau_is_the_slowest_mode(self, alpha, rtol, N):
+        # two routes to tau: the chi^2 fit over the window, and 1/(2 |lambda_1|);
+        # at alpha = 1 the next mode still weighs on the window at ~1e-7
+        modes = OddSector(chain(alpha, N=N))
+        assert fit_tau(*modes.relaxation_series()) == pytest.approx(modes.tau, rel=rtol)
 
     def test_tau_increasing_in_N(self):
         p = chain(2.0)
