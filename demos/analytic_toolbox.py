@@ -13,6 +13,7 @@ import numpy as np
 from levyexciton.analytic import (
     StructureFunction,
     coefficients,
+    critical_alpha,
     crossover,
     forster_ratio,
     lattice_sum,
@@ -23,8 +24,7 @@ from levyexciton.model import ModelParams
 
 print("critical exponent and Foerster enhancement per dimension:")
 for d in (1, 2, 3):
-    acr = (d + 2) / 2
-    print(f"  d = {d}: alpha_cr = {acr}, L3^2/Linf^2 = {forster_ratio(d):.3f}")
+    print(f"  d = {d}: alpha_cr = {critical_alpha(d)}, L3^2/Linf^2 = {forster_ratio(d):.3f}")
 
 print("\ntransport coefficients at kappa = 1 (J = 1, gamma = 2):")
 for d in (1, 2, 3):

@@ -19,6 +19,7 @@ import numpy as np
 from levyexciton.manybody import (
     OddSector,
     domain_wall_config,
+    duality_zscore,
     kmc_simulate,
     occupation_evolution,
     relaxation_fit,
@@ -56,8 +57,7 @@ p = chain(2.0, 64)
 ts = np.array([0.1, 0.25, 0.5])
 res = kmc_simulate(domain_wall_config(64), p, ts, n_traj=4000, seed=17)
 lin = occupation_evolution(p, ts)
-se = np.sqrt(np.maximum(lin * (1 - lin), res.mean * (1 - res.mean)) / res.n_traj)
-z = np.abs(res.mean - lin) / np.maximum(se, 1e-300)
+z = duality_zscore(res, lin)
 print(f"\nduality check (4000 trajectories): max deviation {np.max(np.abs(res.mean - lin)):.4f}, "
       f"max |z| = {z.max():.2f}")
 

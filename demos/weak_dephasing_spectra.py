@@ -19,14 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from levyexciton.analytic import coefficients
+from levyexciton.classical import ring_decay_rates
 from levyexciton.model import ModelParams
-from levyexciton.quantum import (
-    DegenerateSpectrumError,
-    perturbative_spectrum,
-    slow_modes,
-    solve_dephasing_spectrum,
-    spectra_to_csv,
-)
+from levyexciton.quantum import slow_modes, solve_dephasing_spectrum, spectra_to_csv
 
 OUT = Path(__file__).with_suffix("")
 OUT.mkdir(exist_ok=True)
@@ -51,23 +46,9 @@ for alpha in (1.0, 2.0, 3.0):
         s = slow_modes(p)
         gaps.append(s.real_gap)
         cgaps.append(s.complex_gap)
-        pmin = math.inf
-        refused = 0
-        for qi in range(N):
-            try:
-                re = perturbative_spectrum(qi, p, order=2).real
-            except DegenerateSpectrumError:
-                # accidental near-degeneracies (N = 301 has some) void the series
-                refused += 1
-                continue
-            pmin = min(pmin, float(np.min(re[re > 1e-12 * gamma])))
-        # classical reference: slowest ring density mode
-        from levyexciton.classical import ring_decay_rates
-
-        lam = ring_decay_rates(p)
+        lam = ring_decay_rates(p)  # classical reference: slowest ring density mode
         print(f"  N = {N}: real gap {s.real_gap:.5f}, complex gap {s.complex_gap:.5f}, "
-              f"perturbative {pmin:.5f}, classical slowest rate {lam[1]:.5f}"
-              + (f" ({refused} near-degenerate blocks left out of the perturbative minimum)" if refused else ""))
+              f"perturbative {s.perturbative_min_re:.5f}, classical slowest rate {lam[1]:.5f}")
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     print(f"  slow-branch exponent over {sizes}: {slope:+.3f}")
     if args.large:

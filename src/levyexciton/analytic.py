@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import wofz, zeta
 
+from .classical import cme_spectral_solve
 from .model import ModelParams, finite_lattice_sum
 from .special import _epstein_cos, gamma_fn, lambert_w_m1, riemann_zeta
 
@@ -268,8 +269,6 @@ def asymptotic_profile(j, t: float, params: ModelParams):
                     "origin density in the Levy regime requires the spectral "
                     "solver on a periodic lattice"
                 )
-            from .classical import cme_spectral_solve
-
             origin = cme_spectral_solve(params, t).values[(0,) * d]
             tail = np.where(r2 == 0, origin, tail)
         out = tail

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import critical_alpha
+from .classical import cme_integrate
 from .model import ModelParams, format_float, open_line_rates, output_times
 
 CHI2_FIT_WINDOW = (1e-6, 1e-2)
@@ -162,6 +163,19 @@ def kmc_simulate(
     return EnsembleResult(t_out, mean, np.sqrt(var), n_traj, seed)
 
 
+def duality_zscore(ens: EnsembleResult, lin: np.ndarray) -> np.ndarray:
+    """|mean - lin| per time and site, in units of the dual prediction's stderr.
+
+    By duality each trajectory's occupation is Bernoulli(lin), so the mean's
+    stderr is sqrt(lin (1 - lin) / n_traj). Where lin is exactly 0 or 1 the
+    ensemble must agree with it exactly: no gap scores 0, any gap infinity.
+    """
+    stderr = np.sqrt(np.clip(lin * (1.0 - lin), 0.0, None) / ens.n_traj)
+    gap = np.abs(ens.mean - lin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(stderr > 0, gap / stderr, np.where(gap == 0, 0.0, np.inf))
+
+
 # -- linear occupation dynamics -----------------------------------------------------
 
 
@@ -237,8 +251,6 @@ def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.
         return OddSector(params).occupations(times)
     if method != "ode":
         raise ValueError(f"unknown method {method!r}")
-    from .classical import cme_integrate
-
     n0 = domain_wall_config(params.N).occupations.astype(float)
     return _in_unit_interval(np.array([prof.values for prof in cme_integrate(n0, params, times)]))
 

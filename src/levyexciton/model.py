@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 BOUNDARY_CONDITIONS = ("periodic", "open")
-
-_CONFIG_KEYS = ("d", "alpha", "J", "gamma", "N", "bc")
 
 
 @dataclass(frozen=True)
@@ -104,22 +102,16 @@ class ModelParams:
     # -- flat key-value serialization (CLI contract) --------------------------
 
     def to_config(self) -> dict[str, str]:
-        """Flat key-value block with keys ``d, alpha, J, gamma, N, bc``."""
-        return {
-            "d": str(self.d),
-            "alpha": repr(self.alpha),
-            "J": repr(self.J),
-            "gamma": repr(self.gamma),
-            "N": str(self.N),
-            "bc": self.bc,
-        }
+        """Flat key-value block with keys ``d, alpha, J, gamma, N, bc``: ``str`` of each field."""
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_config(cls, block: dict[str, str]) -> "ModelParams":
-        unknown = set(block) - set(_CONFIG_KEYS)
+        keys = {f.name for f in fields(cls)}
+        unknown = set(block) - keys
         if unknown:
             raise ValueError(f"unknown model keys: {sorted(unknown)}")
-        missing = set(_CONFIG_KEYS) - set(block)
+        missing = keys - set(block)
         if missing:
             raise ValueError(f"missing model keys: {sorted(missing)}")
         return cls(

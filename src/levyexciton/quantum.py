@@ -484,6 +484,7 @@ class SlowModeSummary:
     real_gap: float
     complex_gap: float
     n_real: int
+    perturbative_min_re: float
     sets: list
 
 
@@ -492,14 +493,19 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
 
     real_gap: smallest nonzero real part among real-classified eigenvalues
     (the slow branch); complex_gap: smallest real part of the complex branch,
-    which perturbation theory places at gamma (N-1)/N. Each block drops its
+    which perturbation theory places at gamma (N-1)/N; perturbative_min_re:
+    smallest decaying real part of the first-order series over all N blocks
+    (second order moves only imaginary parts, so it is the real part at
+    order 2 too, and it needs no level gaps). Each block drops its
     eigenvectors once solved.
     """
     sets = sorted((replace(s, eigenvectors=None) for s in _blocks(params)), key=lambda s: s.q_index)
     re = np.concatenate([s.eigenvalues.real for s in sets])
     real = np.concatenate([s.branch for s in sets]) == "real"
     slow = decaying(re[real], params.gamma)
-    return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, sets)
+    first = np.concatenate([perturbative_spectrum(qi, params, order=1).real for qi in range(params.N)])
+    pert = float(np.min(decaying(first, params.gamma)))
+    return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, pert, sets)
 
 
 def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_limit: float = 1e8):

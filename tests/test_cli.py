@@ -214,6 +214,15 @@ class TestRun:
         assert float(fit["beta"]) == 2.0
         assert float(fit["b_alpha"]) == pytest.approx(cfg.model.kappa, rel=0.1)
 
+    def test_occupation_profile_on_its_own_grid(self, tmp_path):
+        # fig2b's shape: the N = 100 profile is sampled on N = 100's own
+        # relaxation grid, not on the last n_list size's, where it is flat
+        p = ModelParams(d=1, alpha=1.5, J=1.0, gamma=2.0, N=100, bc="open")
+        run(ExperimentConfig("manybody-relax", p, RunOptions(n_list=[100, 200, 400, 800], out_dir=str(tmp_path))))
+        rows = np.loadtxt(tmp_path / "occupation.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].max() <= 18.0 * manybody.OddSector(p).tau
+        assert np.any(rows[rows[:, 0] > 0, 2] != 0.5)
+
     def test_one_eigh_per_size(self, tmp_path, monkeypatch):
         # the grid, the chi^2 series and the configured N's profile read one
         # diagonalization of each size's odd-sector block
@@ -262,9 +271,10 @@ class TestRun:
         summary = (tmp_path / "spectrum_summary.txt").read_text()
         assert "perturbative_min_re" in summary
 
-    def test_spectrum_skips_degenerate_perturbative_blocks(self, tmp_path):
-        # at N = 301 two blocks have near-degenerate levels; the exact
-        # spectrum stays complete and the perturbative minimum skips them
+    def test_spectrum_complete_with_degenerate_perturbative_blocks(self, tmp_path):
+        # at N = 301 some blocks have near-degenerate levels, which void the
+        # second-order series; the exact spectrum stays complete and the
+        # first-order perturbative minimum needs no level gaps
         from levyexciton import quantum
 
         p = ModelParams(d=1, alpha=2.0, J=1.0, gamma=0.1, N=301, bc="periodic")
@@ -306,6 +316,18 @@ TINY_RUNS = {
         RunOptions(tag="r"),
     ),
 }
+
+
+def test_manifest_with_numpy_sizes(tmp_path):
+    # sizes taken from a numpy array are echoed as plain JSON numbers
+    cfg = ExperimentConfig(
+        "quantum-variance",
+        ModelParams(d=1, alpha=3.0, J=1.0, gamma=10.0, N=np.int64(11), bc="open"),
+        RunOptions(t_max=0.5, n_times=4, n_list=list(np.array([7, 11])), out_dir=str(tmp_path)),
+    )
+    manifest = json.loads(run(cfg).read_text())
+    assert manifest["config"]["run"]["n_list"] == [7, 11]
+    assert manifest["config"]["model"]["N"] == "11"
 
 
 @pytest.mark.parametrize("kind", sorted(TINY_RUNS))

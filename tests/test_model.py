@@ -66,6 +66,11 @@ class TestParams:
         p = ModelParams(d=2, alpha=1.75, J=0.5, gamma=3.0, N=64, bc="open")
         assert ModelParams.from_config(p.to_config()) == p
 
+    def test_config_round_trip_with_numpy_scalars(self):
+        p = ModelParams(d=np.int64(1), alpha=np.float64(2.0), J=np.float64(0.5), gamma=np.float64(3.0), N=np.int64(9))
+        assert p.to_config() == {"d": "1", "alpha": "2.0", "J": "0.5", "gamma": "3.0", "N": "9", "bc": "periodic"}
+        assert ModelParams.from_config(p.to_config()) == p
+
     def test_config_rejects_unknown_keys(self):
         block = ring().to_config()
         block["typo"] = "1"

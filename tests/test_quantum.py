@@ -196,13 +196,22 @@ class TestPerturbativeSpectrum:
         # claim: every decaying mode decays at gamma (N-1)/N, independent of
         # alpha. Third order adds band-edge outliers where the series
         # self-invalidates (gaps ~ J/N^2), so the minimum is taken at order 2.
-        for alpha in (1.0, 2.0, 3.0):
-            p = ring(alpha, 51)
+        # slow_modes reports the first-order minimum over all N blocks, which
+        # is this loop's value exactly, also at N = 301 where order 2 refuses
+        # near-degenerate blocks.
+        for alpha, N in ((1.0, 51), (2.0, 51), (3.0, 51), (2.0, 301), (3.0, 301)):
+            p = ring(alpha, N)
             best = math.inf
             for qi in range(p.N):
-                re = perturbative_spectrum(qi, p, order=2).real
+                try:
+                    re = perturbative_spectrum(qi, p, order=2).real
+                except DegenerateSpectrumError:
+                    assert N == 301
+                    continue
                 best = min(best, float(np.min(re[re > 1e-12 * p.gamma])))
-            assert best == pytest.approx(p.gamma * (p.N - 1) / p.N, rel=0.05)
+            if N == 51:
+                assert best == pytest.approx(p.gamma * (p.N - 1) / p.N, rel=0.05)
+            assert slow_modes(p).perturbative_min_re == best
 
     def test_third_order_is_real_valued_correction(self):
         p = ring(2.0, 31)
