@@ -1,4 +1,10 @@
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +71,58 @@ class TestPropagation:
         ref = variance_closed_form(p, ts)
         got = np.array([variance_of_density(s) for s in states])
         assert np.max(np.abs(got - ref)) < 1e-6
+
+
+def dense_generator(p):
+    """The generator of dG/dt on row-major vec G, as an N^2 x N^2 matrix: the oracle's input."""
+    N = p.N
+    h, eye = build_h(p), np.eye(N)
+    L = 1j * (np.kron(h, eye) - np.kron(eye, h.T)) - p.gamma * np.eye(N * N)
+    on_diagonal = np.arange(N) * (N + 1)
+    L[on_diagonal, on_diagonal] += p.gamma
+    return L
+
+
+class TestTaylorPropagator:
+    @pytest.mark.parametrize(
+        "p, t_max",
+        [(mp(a, N=21, gamma=g), 5.0) for a in (1.0, 3.0) for g in (10.0, 100.0)] + [(ring(2.0, 21, gamma=0.1), 40.0)],
+        ids=["open-a1-g10", "open-a1-g100", "open-a3-g10", "open-a3-g100", "ring-a2-g0.1"],
+    )
+    def test_matches_dense_expm(self, p, t_max):
+        G0 = initial_g_delta(p)
+        ts = np.linspace(0.0, t_max, 11)
+        step = expm(dense_generator(p) * (ts[1] - ts[0]))
+        ref = G0.G.ravel()
+        for cm in propagate_G(G0, p, ts):
+            assert np.max(np.abs(cm.G.ravel() - ref)) <= 1e-12
+            ref = step @ ref
+
+    def test_logs_its_work(self, caplog):
+        p = ring(2.0, 31, gamma=0.1)
+        with caplog.at_level(logging.DEBUG, logger="levyexciton"):
+            propagate_G(initial_g_delta(p), p, np.linspace(0.0, 40.0, 81))
+        (rec,) = [r for r in caplog.records if r.name == "levyexciton.quantum"]
+        got = dict(re.findall(r"(\w+) = (\S+?)(?:,|$)", rec.getMessage()))
+        levels = np.linalg.eigvalsh(build_h(p))
+        norm = levels[-1] - levels[0] + p.gamma / 2
+        anchors = math.ceil(norm * 40.0 / quantum.TAYLOR_THETA)
+        assert float(got["norm"]) == pytest.approx(norm, rel=1e-5)
+        assert float(got["H"]) == pytest.approx(40.0 / anchors, rel=1e-5)
+        assert int(got["degree"]) == quantum.TAYLOR_DEGREE == 50
+        assert int(got["anchors"]) == anchors
+        assert int(got["applications"]) == anchors * quantum.TAYLOR_DEGREE
+
+
+def test_import_leaves_scipy_integrate_out():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, levyexciton; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
 
 
 class TestVarianceOrigin:
@@ -477,6 +535,15 @@ class TestPropagatorParity:
         assert states[0].t == 0.0
         assert np.array_equal(states[0].G, G0)
         assert states[1].G is not states[0].G
+
+    @pytest.mark.parametrize("propagate", [propagate_G, spectral_propagate_G])
+    def test_scalar_time_gives_one_state(self, propagate):
+        p = ring(2.0, 11)
+        G0 = initial_g_delta(p)
+        state = propagate(G0, p, 1.0)
+        assert isinstance(state, CorrelationMatrix)
+        assert state.t == 1.0
+        assert np.array_equal(state.G, propagate(G0, p, [1.0])[0].G)
 
     def test_scalar_negative_time_refused(self):
         p = ring(2.0, 11)
