@@ -8,7 +8,7 @@ crossover length, and the Foerster enhancement ratio.
 Conventions: the structure function is reported *dimensionless*, i.e. divided
 by the classical rate kappa, so `structure_function_eval(sf, 0)` equals the
 pure lattice sum sum_{r != 0} |r|^(-2 alpha). Coefficients D_alpha and
-C_alpha carry their physical kappa factors.
+C_alpha carry their physical kappa factors; C_alpha has one formula in every d.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ class SmallQExpansion:
 def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
     """Branch-selected expansion of the structure function about q = 0.
 
-    Valid as an approximation for |q| <~ 0.3 (not enforced). The branch is
-    chosen by the arithmetic class of alpha: integer alpha in d = 1 terminates
-    exactly; half-integer alpha carries a q^(2 alpha - 1) log q^2 term;
-    generic alpha combines the fractional singular power with a zeta Taylor
-    series; d >= 2 uses the continuum singular power.
+    Valid as an approximation for |q| <~ 0.3 (not enforced). d = 1 is the polylog
+    series -C_alpha q^(2 alpha - 1) + 2 sum_j (-1)^j zeta(2 alpha - 2j) q^(2j)/(2j)!
+    (Lewin 1981), exact to j = alpha for integer alpha and cut at j = 1 otherwise;
+    half-integer alpha carries a q^(2 alpha - 1) log q^2 term instead of the power.
+    d >= 2 uses the continuum singular power.
     """
     a, d = params.alpha, params.d
     qv = np.atleast_1d(np.asarray(q, dtype=float))
@@ -123,14 +123,7 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
     qn = float(np.sqrt(np.sum(qv**2)))
 
     if d == 1:
-        C = levy_coefficient_d1(a, 1.0)
-        if _is_integer(a):
-            n = int(round(a))
-            value = -C * qn ** (2 * n - 1)
-            for j in range(0, n + 1):
-                zj = -0.5 if j == n else riemann_zeta(2 * n - 2 * j)
-                value += 2.0 * (-1.0) ** j * zj * qn ** (2 * j) / math.factorial(2 * j)
-            return SmallQExpansion(value, "exact", "d1-integer")
+        C = levy_coefficient_continuum(a, 1, 1.0)
         if C is None:  # half-integer alpha
             s = int(round(a - 0.5))
             if qn == 0.0:
@@ -144,10 +137,12 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
                     - riemann_zeta(2 * s - 1) * qn**2
                 )
             return SmallQExpansion(value, "O(q^4)", "d1-half-integer")
+        # scipy's zeta(0) is exactly -1/2, so the integer series' last term keeps its bits
+        exact = _is_integer(a)
         value = -C * qn ** (2 * a - 1)
-        value += 2.0 * float(zeta(2 * a))  # 2 a and 2 a - 2 are not integers here, so never the pole
-        value -= float(zeta(2 * a - 2)) * qn**2
-        return SmallQExpansion(value, "O(q^4)", "d1-generic")
+        for j in range(int(round(a)) + 1 if exact else 2):
+            value += 2.0 * (-1.0) ** j * float(zeta(2 * a - 2 * j)) * qn ** (2 * j) / math.factorial(2 * j)
+        return SmallQExpansion(value, "exact" if exact else "O(q^4)", "d1-integer" if exact else "d1-generic")
 
     # d >= 2: continuum singular power about q = 0
     params.require_thermodynamic()
@@ -187,26 +182,12 @@ def critical_alpha(d: int) -> float:
     return (d + 2) / 2.0
 
 
-def levy_coefficient_d1(alpha: float, kappa: float) -> float | None:
-    """C_alpha in d = 1 from the polylog expansion coefficients.
-
-    Generic alpha: -2 kappa Gamma(1 - 2 alpha) sin(pi alpha); integer alpha:
-    (-1)^(alpha+1) pi kappa / (2 alpha - 1)!. Half-integer alpha has a
-    logarithmic singular term and no pure power coefficient (None).
-    """
-    if _is_integer(alpha):
-        n = int(round(alpha))
-        return (-1.0) ** (n + 1) * math.pi * kappa / math.factorial(2 * n - 1)
-    if _is_integer(2 * alpha):
-        return None
-    return -2.0 * kappa * gamma_fn(1.0 - 2 * alpha) * math.sin(math.pi * alpha)
-
-
 def levy_coefficient_continuum(alpha: float, d: int, kappa: float) -> float | None:
-    """C_alpha from the continuum (translation-invariant) formula.
+    """C_alpha from the continuum (translation-invariant) formula, in every d.
 
-    -kappa pi^(d/2) 2^(d - 2 alpha) Gamma(d/2 - alpha) / Gamma(alpha);
-    None at the Gamma poles alpha - d/2 in {0, 1, 2, ...}.
+    -kappa pi^(d/2) 2^(d - 2 alpha) Gamma(d/2 - alpha) / Gamma(alpha), which
+    in d = 1 is the polylog coefficient -2 kappa Gamma(1 - 2 alpha) sin(pi alpha);
+    None at the Gamma poles alpha - d/2 in {0, 1, 2, ...} (log-modified points).
     """
     if _is_integer(alpha - d / 2.0) and alpha - d / 2.0 >= 0:
         return None
@@ -227,7 +208,7 @@ def coefficients(params: ModelParams) -> AsymptoticCoefficients:
     alpha_cr = critical_alpha(d)
     regime = "levy" if a <= alpha_cr else "mixed"
     D = kappa * _half_variance_sum(a, d) if regime == "mixed" else None
-    C = levy_coefficient_d1(a, kappa) if d == 1 else levy_coefficient_continuum(a, d, kappa)
+    C = levy_coefficient_continuum(a, d, kappa)
     return AsymptoticCoefficients(D_alpha=D, C_alpha=C, alpha_cr=alpha_cr, regime=regime)
 
 
@@ -276,11 +257,7 @@ def asymptotic_profile(j, t: float, params: ModelParams):
         D = coeff.D_alpha
         gauss = np.exp(-r2 / (4 * D * t)) / (4 * math.pi * D * t) ** (d / 2.0)
         out = np.maximum(gauss, np.where(r2 == 0, 0.0, tail))
-    if np.isscalar(j) or (isinstance(j, np.ndarray) and j.ndim == 0):
-        return float(out[0])
-    if d > 1 and np.asarray(j).ndim == 1:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(j) == (d > 1) else out  # one site: a scalar in d = 1, a d-vector in d > 1
 
 
 def exact_profile_alpha1(j, t: float, params: ModelParams):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 from scipy.special import ive
 
-from .model import ModelParams, displacement_axis, open_kernel_and_escape, output_times, ring_rate_row
+from .model import ModelParams, axis_moments, displacement_axis, open_kernel_and_escape, output_times, ring_rate_row
 
 MASS_TOL = 1e-9
 NEGATIVITY_TOL = -1e-12
@@ -178,13 +178,12 @@ def cme_spectral_solve(params: ModelParams, t: float) -> DensityProfile:
 
 
 def moments(profile: DensityProfile):
-    """Mean displacement vector and scalar variance of a normalized profile."""
+    """Mean displacement vector and scalar variance of a normalized profile, summed from its marginals' moments."""
     n = profile.values
-    coords = profile.coordinates()
-    grids = np.meshgrid(*coords, indexing="ij")
-    mean = np.array([float(np.sum(n * g)) for g in grids])
-    var = float(sum(np.sum(n * (g - m) ** 2) for g, m in zip(grids, mean)))
-    return mean, var
+    axes = range(n.ndim)
+    marginals = (n.sum(axis=tuple(b for b in axes if b != a)) for a in axes)
+    per_axis = [axis_moments(w, o, profile.bc) for w, o in zip(marginals, profile.origin)]
+    return np.array([m for m, _ in per_axis]), sum(v for _, v in per_axis)
 
 
 def fit_power_law(x, y):

@@ -378,17 +378,18 @@ def fractional_reference(x, t: float, params: ModelParams, beta: float, b: float
 
     Cosine modes of the domain-wall step decay as exp(-b (m pi / N)^beta t):
     n(x, t) = 1/2 + sum_m c_m(0) e^{-b (m pi/N)^beta t} cos(pi m x / N).
+    A scalar x gives a float, an array of any size an array.
     """
     N = params.N
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((x < 0) | (x > N)):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any((xs < 0) | (xs > N)):
         raise ValueError("x must lie in [0, N]")
     c0 = step_cosine_coefficients(N, modes)
     m = np.arange(1, modes + 1, dtype=float)
     decay = np.exp(-b * (m * math.pi / N) ** beta * t)
-    cosmat = np.cos(math.pi * np.outer(m, x) / N)
+    cosmat = np.cos(math.pi * np.outer(m, xs) / N)
     out = 0.5 + (c0 * decay) @ cosmat
-    return out if out.size > 1 else float(out[0])
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # -- exports ------------------------------------------------------------------------------

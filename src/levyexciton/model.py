@@ -11,6 +11,7 @@ rows and grids these functions return:
 
 * displacements from a site: :func:`displacement_axis`, and
   :func:`_squared_length` for one displacement (minimum image on rings);
+  the mean and variance of site weights in them: :func:`axis_moments`;
 * coherent hopping: :func:`hopping_row`, J [r^-alpha + (N-r)^-alpha] on a
   d = 1 ring (two images), J / r^alpha on an open chain;
 * rates kappa / r^(2 alpha): :func:`ring_rate_row`, :func:`open_line_rates`
@@ -162,6 +163,13 @@ def displacement_axis(N: int, origin: int, bc: str) -> np.ndarray:
     """Integer displacements of sites 0..N-1 from ``origin``; the minimum image on rings."""
     c = np.arange(N) - origin
     return min_image(c, N) if bc == "periodic" else c
+
+
+def axis_moments(w: np.ndarray, origin: int, bc: str) -> tuple[float, float]:
+    """Mean and variance of the displacements from ``origin`` under the normalized weights ``w`` of one axis's sites."""
+    x = displacement_axis(w.size, origin, bc).astype(float)
+    mean = float(w @ x)
+    return mean, float(w @ x**2) - mean**2
 
 
 def _source_axis(N: int, bc: str) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, displacement_axis, format_float, hopping_row, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, axis_moments, format_float, hopping_row, output_times, sum_r2_hopping_sq, write_csv
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -206,10 +206,7 @@ def variance_of_density(cm: CorrelationMatrix, origin: int | None = None) -> flo
     excites, on both bcs; rings measure the minimum image.
     """
     n = cm.density
-    N = n.size
-    x = displacement_axis(N, N // 2 if origin is None else origin, cm.bc).astype(float)
-    mean = float(n @ x)
-    return float(n @ x**2) - mean**2
+    return axis_moments(n, n.size // 2 if origin is None else origin, cm.bc)[1]
 
 
 def variance_closed_form(params: ModelParams, t) -> np.ndarray:

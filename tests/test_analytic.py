@@ -16,7 +16,6 @@ from levyexciton.analytic import (
     forster_ratio,
     lattice_sum,
     levy_coefficient_continuum,
-    levy_coefficient_d1,
     small_q_expansion,
     structure_function_eval,
 )
@@ -286,10 +285,11 @@ class TestEwaldRoute:
 
 
 class TestSmallQ:
-    def test_integer_alpha_exact_everywhere(self):
-        sf = StructureFunction(mp(1.0))
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_integer_alpha_exact_everywhere(self, alpha):
+        sf = StructureFunction(mp(alpha))
         for q in (0.05, 0.3, 1.0, 2.0):
-            exp = small_q_expansion(mp(1.0), q)
+            exp = small_q_expansion(mp(alpha), q)
             assert exp.branch == "d1-integer"
             assert exp.order == "exact"
             assert exp.value == pytest.approx(structure_function_eval(sf, q), abs=1e-9)
@@ -389,12 +389,30 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("alpha", [0.75, 1.25, 1.8, 2.3])
     def test_d1_and_continuum_formulas_agree(self, alpha):
-        a = levy_coefficient_d1(alpha, kappa=1.0)
-        b = levy_coefficient_continuum(alpha, 1, kappa=1.0)
-        assert a == pytest.approx(b, rel=1e-11)
+        # the d = 1 formula: the q^(2 alpha - 1) coefficient of 2 Re Li_{2 alpha}(e^{iq}),
+        # -2 Gamma(1 - 2 alpha) sin(pi alpha)
+        ref = -2.0 * math.gamma(1.0 - 2.0 * alpha) * math.sin(math.pi * alpha)
+        assert levy_coefficient_continuum(alpha, 1, kappa=1.0) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_d1_integer_alpha_is_the_polylog_coefficient(self, n):
+        # at alpha = n the coefficient is the limit (-1)^(n+1) pi / (2n - 1)!
+        ref = (-1.0) ** (n + 1) * math.pi / math.factorial(2 * n - 1)
+        assert levy_coefficient_continuum(float(n), 1, kappa=1.0) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1.01, 2.99, 4.02])
+    def test_d1_coefficient_keeps_its_digits_near_integer_alpha(self, alpha):
+        # in double precision -2 Gamma(1 - 2 alpha) sin(pi alpha) is a pole times a
+        # zero here and loses about 1e-14; the continuum form does not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            ref = float(-2 * mpmath.gamma(1 - 2 * a) * mpmath.sin(mpmath.pi * a))
+        p = mp(alpha)
+        assert coefficients(p).C_alpha / p.kappa == pytest.approx(ref, rel=2e-15, abs=0)
 
     def test_half_integer_is_log_modified(self):
-        assert levy_coefficient_d1(1.5, kappa=1.0) is None
+        assert levy_coefficient_continuum(1.5, 1, 1.0) is None
         assert coefficients(mp(1.5)).C_alpha is None
 
 
@@ -433,6 +451,19 @@ class TestAsymptoticProfile:
         gauss = math.exp(-(xi**2) / (4 * D * t)) / math.sqrt(4 * math.pi * D * t)
         tail = p.kappa * t / xi**4
         assert abs(gauss - tail) <= 1e-10 * gauss
+
+    @pytest.mark.parametrize(
+        "d, site, batch",
+        [(1, 3, [3]), (1, np.int64(3), np.array([3])), (1, np.array(3), [[3]]), (2, np.array([1, 2]), [[1, 2]])],
+    )
+    def test_one_site_gives_float_and_a_batch_an_array(self, d, site, batch):
+        # one site is a scalar in d = 1 and a d-vector in d > 1
+        p = mp(3.0, d=d, N=16)
+        t = 3.0 / p.kappa
+        value = asymptotic_profile(site, t, p)
+        assert type(value) is float
+        out = asymptotic_profile(batch, t, p)
+        assert isinstance(out, np.ndarray) and out.size == 1 and out.ravel()[0] == value
 
     def test_origin_levy_uses_spectral_value(self):
         from levyexciton.classical import cme_spectral_solve

@@ -474,3 +474,13 @@ class TestFractionalReference:
         p = chain(2.0, N=100)
         with pytest.raises(ValueError):
             fractional_reference([-1.0], 0.0, p, beta=2.0, b=1.0)
+
+    def test_scalar_gives_float_and_array_gives_array(self):
+        # the rule of exact_profile_alpha1: a scalar x gives a float, any array an array
+        p = chain(2.0, N=100)
+        args = (3.0, p, 2.0, 1.6)
+        for x in (25.0, np.float64(25.0), np.array(25.0)):
+            assert type(fractional_reference(x, *args)) is float
+        one = fractional_reference([25.0], *args)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == fractional_reference(25.0, *args)

@@ -460,6 +460,24 @@ class TestSecularSolver:
         spec = spectral_propagate_G(G0, p, 3.0)
         assert np.max(np.abs(spec.G - ode.G)) < 1e-8
 
+    def test_near_degenerate_block_and_its_mirror(self):
+        # N = 201, alpha = 2, gamma = 10: two unperturbed levels of block 67 lie 2e-8
+        # apart, and a root between them leaves the secular eigenvectors' residual
+        # above EIG_RESIDUAL_TOL; whichever path solves it, block and mirror must be right
+        p = ring(2.0, 201, gamma=10.0)
+        got = {}
+        for s in quantum._blocks(p):
+            if s.q_index in (67, 134):
+                got[s.q_index] = s
+            if len(got) == 2:
+                break
+        for qi, s in got.items():
+            M = dephasing_block(qi, p)
+            assert set_distance(s.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
+            assert s.residual <= EIG_RESIDUAL_TOL
+            V = s.eigenvectors
+            assert np.max(np.abs(M @ V - V * s.eigenvalues)) <= EIG_RESIDUAL_TOL
+
     def test_block_minus_q_is_the_mirror_of_block_q(self):
         p = ring(1.0, 41, gamma=0.5)
         sets = solve_dephasing_spectrum(p)

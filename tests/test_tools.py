@@ -1,8 +1,11 @@
-"""The artifact comparator of tools/artifacts.py on hand-made output trees."""
+"""The artifact comparator of tools/artifacts.py on hand-made output trees, and the benchmark tracer against src/."""
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,24 @@ def test_artifact_list_and_config_changes_are_reported(tmp_path):
         "run: config echoes differ",
         "run: artifact lists differ: ['summary.txt']",
     ]
+
+
+def test_benchmark_tracer_installs_and_uninstalls_against_src():
+    # perfbench's tracer refuses to install when a public name it spans is gone;
+    # this makes such a deletion fail here, not only in the benchmark's traced pass
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import levyexciton.analytic as analytic\n"
+        "from tracer import Tracer\n"
+        "plain = analytic.coefficients\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "assert analytic.coefficients is not plain and tracer._patches\n"
+        "tracer.uninstall()\n"
+        "assert analytic.coefficients is plain and not tracer._patches\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
