@@ -162,19 +162,23 @@ def ring_decay_rates(params: ModelParams) -> np.ndarray:
     return np.sort(-_ring_eigenvalues(params).ravel())
 
 
-def cme_spectral_solve(params: ModelParams, t: float) -> DensityProfile:
-    """Exact ring density at time t from a delta at the origin.
+def cme_spectral_solve(params: ModelParams, t) -> DensityProfile | list[DensityProfile]:
+    """Exact ring density at the times t from a delta at the origin.
 
     Inverse DFT of exp(lambda(q) t) with lambda the DFT of the finite ring's
     kernel row; equals the matrix exponential of the finite generator, so it
     is exact for the ring rather than a thermodynamic-limit approximation.
+    A scalar time gives one profile, a grid a list. Each profile is checked
+    for mass and positivity as in :func:`cme_integrate`.
     """
     if params.bc != "periodic":
         raise ValueError("spectral solve requires periodic bc")
-    (t,) = output_times(t)
     lam = _ring_eigenvalues(params)
-    values = ifftn(np.exp(lam * t)).real
-    return DensityProfile(float(t), values, params.bc, origin=(0,) * params.d)
+    times = output_times(t)
+    out = [DensityProfile(float(tv), ifftn(np.exp(lam * tv)).real, params.bc, (0,) * params.d) for tv in times]
+    for prof in out:
+        _check_invariants(prof.values, 1.0, prof.t)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def moments(profile: DensityProfile):

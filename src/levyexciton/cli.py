@@ -11,10 +11,10 @@ Exit codes: 0 success; 2 configuration error (a file configparser cannot
 read, unknown or unparseable keys, invalid model parameters, J = 0, output
 times that are empty, repeated, negative, NaN or infinite, a
 ``classical-profile`` run without ``times``, a negative seed for KMC
-trajectories, sizes below 2, a tail-fit window with one bound or holding fewer
-than four sites, a kind or ``method = spectral`` on a lattice its solver does
-not cover, an even ring spectrum or an odd domain wall, a ``tag`` holding a
-path separator), with nothing written; 3 solver error.
+trajectories, sizes below 2 or repeated, a tail-fit window with one bound or
+holding fewer than four sites, a kind or ``method = spectral`` on a lattice
+its solver does not cover, an even ring spectrum or an odd domain wall, a
+``tag`` holding a path separator), with nothing written; 3 solver error.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.run.seed}")
         if any(n < 2 for n in self.run.n_list or ()):
             raise ConfigError(f"n_list sizes must be at least 2, got {self.run.n_list}")
+        if len(set(self.run.n_list or ())) < len(self.run.n_list or ()):
+            raise ConfigError(f"n_list sizes must be distinct, got {self.run.n_list}")
         if not self.model.gamma > 0:
             # every kind uses kappa = 2 J^2/gamma or divides by gamma
             raise ConfigError(f"gamma must be positive, got {self.model.gamma}")
@@ -300,7 +302,7 @@ def _origin(config: ExperimentConfig) -> tuple[int, ...]:
 def _classical_trajectory(config: ExperimentConfig, ts) -> list[classical.DensityProfile]:
     p = config.model
     if p.bc == "periodic" and config.run.method != "ode":
-        return [classical.cme_spectral_solve(p, t) for t in ts]
+        return classical.cme_spectral_solve(p, ts)
     origin = _origin(config)
     n0 = np.zeros(p.shape)
     n0[origin] = 1.0

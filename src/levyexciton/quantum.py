@@ -18,13 +18,14 @@ X = diag(1 - delta_{m,0}); eigenvalues E give decay modes e^{-E t},
 perturbation theory in gamma gives the fast branch, and the exact spectrum
 exposes the slow (non-perturbative) one.
 
-In the plane-wave basis the block is diag(d) - (gamma/N) 1 1^T with
-d = E0 + gamma, E0 the circulant's levels (one FFT). Its eigenvalues are the
-roots of the secular equation (gamma/N) sum_k 1/(d_k - E) = 1 and its
-eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), so every block is
-solved in O(N^2) per root-finder sweep; dense ``eig`` is the per-block
-fallback. Blocks q and -q are transposes of each other, so one walk over
-the blocks (``_blocks``) solves only (N + 1)/2 of them and mirrors the rest.
+Every block is solved, checked and stored in the plane-wave basis, where it
+is the complex symmetric diag(d) - (gamma/N) 1 1^T, d = E0 + gamma with E0
+the circulant's levels (one FFT): its roots solve (gamma/N) sum_k 1/(d_k - E)
+= 1, its eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), each its
+own unconjugated left eigenvector (Horn & Johnson, Matrix Analysis, 4.4).
+Dense ``eig`` of the same matrix is the fallback, under the same check; only
+``spectral_propagate_G`` maps to sites. Blocks q and -q are transposes of each
+other, so one walk (``_blocks``) solves (N + 1)/2 blocks and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ TRACE_TOL = 1e-9
 DIAG_NEGATIVITY_TOL = -1e-12
 REAL_BRANCH_IM_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-8
+COND_LIMIT = 1e8  # largest eigenbasis condition bound spectral_propagate_G accepts
 DEGENERACY_GAP = 1e-8
 SECULAR_MAX_SWEEPS = 200
 SORT_TIE_TOL = 1e-10
@@ -252,18 +254,10 @@ def build_circulant(q_index: int, params: ModelParams) -> np.ndarray:
     return 1j * (1.0 - np.exp(1j * q * (m[:, None] - m[None, :]))) * build_h(params)
 
 
-def _to_sites(W: np.ndarray) -> np.ndarray:
-    """Plane-wave coefficients (rows k) to site amplitudes (rows m).
-
-    Column k of the identity maps to the unit plane wave e^{2 pi i m k / N} / sqrt N.
-    """
-    return np.fft.ifft(W, axis=0) * math.sqrt(W.shape[0])
-
-
 def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
     """Eigenvalues of C_q: the DFT of its first row, purely imaginary.
 
-    Entry k belongs to the plane wave of :func:`_to_sites` column k. For odd
+    Entry k belongs to the plane wave e^{2 pi i m k / N} / sqrt N. For odd
     N exactly one eigenvalue vanishes per momentum and the remainder come in
     conjugate pairs.
     """
@@ -319,8 +313,9 @@ def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> 
 class SpectralSet:
     """Eigen-data of one momentum block C_q + gamma X.
 
-    Eigenvalues are sorted by (Re E, Im E); eigenvectors are unit columns in
-    the site basis, or None in the blocks of :func:`slow_modes`.
+    Eigenvalues are sorted by (Re E, Im E); eigenvectors are unit columns w_j
+    in the plane-wave basis (row k: e^{2 pi i m k / N} / sqrt N), or None in
+    the blocks of :func:`slow_modes`; ``residual`` is :func:`_block_residual`.
     ``condition`` is the certified upper bound sqrt(N) ||kappa||_2 on the
     2-norm condition number of the eigenvector matrix, kappa_j being the
     eigenvalue condition numbers; ``solver`` says which path produced the
@@ -336,21 +331,16 @@ class SpectralSet:
     solver: str
 
 
-def _reflect(N: int) -> np.ndarray:
-    """Row permutation m -> -m mod N."""
-    return (-np.arange(N)) % N
+def _pairing_norms(W: np.ndarray) -> np.ndarray:
+    """n_j = w_j^T w_j.
 
-
-def _pairing_norms(V: np.ndarray) -> np.ndarray:
-    """n_j = (P v_j)^T v_j, P the reflection m -> -m.
-
-    The block satisfies M^T = P M P, so P v_j is the left eigenvector paired
-    with v_j (unconjugated) and 1/|n_j| is eigenvalue j's condition number.
+    The block is complex symmetric, so w_j is also the left eigenvector paired
+    with itself (unconjugated) and 1/|n_j| is eigenvalue j's condition number.
     """
-    return np.einsum("mj,mj->j", V[_reflect(V.shape[0])], V)
+    return np.einsum("kj,kj->j", W, W)
 
 
-def _spectral_set(q_index: int, E: np.ndarray, V: np.ndarray, residual: float, solver: str) -> SpectralSet:
+def _spectral_set(q_index: int, E: np.ndarray, W: np.ndarray, residual: float, solver: str) -> SpectralSet:
     # sort by (Re E, Im E) with real parts equal to SORT_TIE_TOL counted as
     # ties: the roots come in conjugate pairs E, conj(E), whose real parts
     # differ only by rounding, and either solver must list a pair the same way
@@ -358,13 +348,13 @@ def _spectral_set(q_index: int, E: np.ndarray, V: np.ndarray, residual: float, s
     tie_tol = SORT_TIE_TOL * max(1.0, float(np.max(np.abs(E))))
     group = np.concatenate(([0], np.cumsum(np.diff(E.real[by_re]) > tie_tol)))
     order = by_re[np.lexsort((E.imag[by_re], group))]
-    E, V = E[order], V[:, order]
+    E, W = E[order], W[:, order]
     branch = np.where(np.abs(E.imag) <= REAL_BRANCH_IM_TOL, "real", "complex")
     with np.errstate(divide="ignore"):
-        kappa = 1.0 / np.abs(_pairing_norms(V))
-    # max kappa <= cond_2(V) <= ||V||_F ||V^-1||_F = sqrt(N) ||kappa||_2
-    condition = math.sqrt(V.shape[0]) * float(np.linalg.norm(kappa))
-    return SpectralSet(q_index, E, V, branch, residual, condition, solver)
+        kappa = 1.0 / np.abs(_pairing_norms(W))
+    # max kappa <= cond_2(W) <= ||W||_F ||W^-1||_F = sqrt(N) ||kappa||_2
+    condition = math.sqrt(W.shape[0]) * float(np.linalg.norm(kappa))
+    return SpectralSet(q_index, E, W, branch, residual, condition, solver)
 
 
 def _secular_seeds(d: np.ndarray, gamma: float) -> np.ndarray:
@@ -418,51 +408,41 @@ def _secular_roots(d: np.ndarray, rho: float, z: np.ndarray) -> tuple[np.ndarray
 
 
 def _steady_block(params: ModelParams) -> SpectralSet:
-    """q = 0: C_0 = 0 and the block is gamma X, diagonal in the site basis.
+    """q = 0: C_0 = 0 and the block is gamma I - (gamma/N) 1 1^T.
 
-    The steady mode is e_0; the (N-1)-fold level gamma takes the even and odd
-    combinations (e_m +- e_-m)/sqrt 2, which keep the reflection pairing of
-    :func:`_pairing_norms` diagonal.
+    The steady mode is the uniform column 1/sqrt N (the site e_0); the level
+    gamma takes the orthonormal real columns sqrt(2/N) cos(2 pi m k / N) and
+    sqrt(2/N) sin(2 pi m k / N), m = 1..(N-1)/2, so the pairing is the identity.
     """
     N = params.N
     E = np.full(N, params.gamma, dtype=complex)
     E[0] = 0.0
-    V = np.zeros((N, N), dtype=complex)
-    V[0, 0] = 1.0
-    m = np.arange(1, (N + 1) // 2)
-    s = 1.0 / math.sqrt(2.0)
-    V[m, 2 * m - 1] = V[N - m, 2 * m - 1] = s
-    V[m, 2 * m] = s
-    V[N - m, 2 * m] = -s
-    return _spectral_set(0, E, V, 0.0, "secular")
+    phase = 2.0 * math.pi * (np.outer(np.arange(N), np.arange(1, (N + 1) // 2)) % N) / N  # reduced: keeps digits
+    W = np.empty((N, N), dtype=complex)
+    W[:, 0] = 1.0 / math.sqrt(N)
+    W[:, 1::2] = math.sqrt(2.0 / N) * np.cos(phase)
+    W[:, 2::2] = math.sqrt(2.0 / N) * np.sin(phase)
+    return _spectral_set(0, E, W, 0.0, "secular")
 
 
-def _dense_block(q_index: int, params: ModelParams) -> SpectralSet:
-    """Fallback: dense non-Hermitian ``eig`` of the site-basis block."""
-    M = build_circulant(q_index, params) + params.gamma * np.diag(
-        (np.arange(params.N) != 0).astype(float)
-    )
-    try:
-        E, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigensolver failed at q index {q_index}: {exc}") from exc
-    res = float(np.max(np.abs(M @ V - V * E)) / max(1.0, float(np.max(np.abs(V)))))
-    if not res <= EIG_RESIDUAL_TOL:
-        raise SpectralError(f"eigen-residual {res:.3e} at q index {q_index}")
-    return _spectral_set(q_index, E, V, res, "dense")
+def _block_residual(d: np.ndarray, rho: float, E: np.ndarray, W: np.ndarray) -> float:
+    """max_j ||M w_j - E_j w_j||_2 for M = diag(d) - rho 1 1^T, or inf when sum E != tr M."""
+    with np.errstate(invalid="ignore"):
+        res = float(np.max(np.linalg.norm((d[:, None] - E) * W - rho * W.sum(axis=0), axis=0)))
+    trace_dev = abs(E.sum() - (d.sum() - rho * d.size))
+    return res if trace_dev <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(d)))) else math.inf
 
 
 def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
-    """Eigen-decomposition of one momentum block from its secular equation.
+    """Eigen-decomposition of one momentum block M = diag(d) - (gamma/N) 1 1^T.
 
     The roots come from :func:`_secular_roots`; eigenvector j is the unit
-    column (D - E_j)^-1 1 mapped to the site basis by an FFT. The residual
-    max_j ||M w_j - E_j w_j||_2 is taken in the plane-wave basis (the FFT is
-    unitary, so it bounds the site-basis residual), and the roots must sum to
-    the block's trace. q = 0 and gamma = 0 are solved exactly. A block whose
-    roots do not converge or fail either check goes to dense ``eig``
-    (``solver == "dense"``), which raises :class:`SpectralError` when it
-    fails too.
+    column (D - E_j)^-1 1, in the plane-wave basis of :class:`SpectralSet`.
+    q = 0 and gamma = 0 are solved exactly. A block whose roots do not
+    converge or fail :func:`_block_residual` (column residual at most
+    ``EIG_RESIDUAL_TOL``, roots summing to the trace) goes to dense ``eig``
+    of the same M (``solver == "dense"``), which passes the same check or
+    raises :class:`SpectralError`.
     """
     _require_odd_ring(params)
     N, gamma = params.N, params.gamma
@@ -470,30 +450,36 @@ def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
         return _steady_block(params)
     d = unperturbed_spectrum(q_index, params) + gamma
     if gamma == 0.0:
-        return _spectral_set(q_index, d, _to_sites(np.eye(N, dtype=complex)), 0.0, "secular")
+        return _spectral_set(q_index, d, np.eye(N, dtype=complex), 0.0, "secular")
     rho = gamma / N
     E, converged = _secular_roots(d, rho, _secular_seeds(d, gamma))
     if converged:
         with np.errstate(divide="ignore", invalid="ignore"):
-            W = 1.0 / (d[:, None] - E[None, :])
+            W = 1.0 / (d[:, None] - E)
             W /= np.linalg.norm(W, axis=0)
-            R = (d[:, None] - E[None, :]) * W - rho * W.sum(axis=0)
-            res = float(np.max(np.linalg.norm(R, axis=0)))
-        trace_dev = abs(E.sum() - (d.sum() - gamma))
-        if res <= EIG_RESIDUAL_TOL and trace_dev <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(d)))):
-            return _spectral_set(q_index, E, _to_sites(W), res, "secular")
-    return _dense_block(q_index, params)
+        res = _block_residual(d, rho, E, W)
+        if res <= EIG_RESIDUAL_TOL:
+            return _spectral_set(q_index, E, W, res, "secular")
+    try:
+        E, W = np.linalg.eig(np.diag(d) - rho)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigensolver failed at q index {q_index}: {exc}") from exc
+    res = _block_residual(d, rho, E, W)
+    if not res <= EIG_RESIDUAL_TOL:
+        raise SpectralError(f"dense eig fails the residual or trace check ({res:.3e}) at q index {q_index}")
+    return _spectral_set(q_index, E, W, res, "dense")
 
 
 def _blocks(params: ModelParams):
     """All N momentum blocks, solving only q = 0..(N-1)/2.
 
     Each block q > 0 is followed by its mirror N - q: M_{-q} = M_q^T =
-    P M_q P, so block -q shares the eigenvalues of block q and has the
-    eigenvectors P v_j. A caller holds at most one block pair at a time.
+    P M_q P, P the reflection, which maps plane wave k to -k. So block -q
+    shares the eigenvalues of block q and has the eigenvectors P w_j. A
+    caller holds at most one block pair at a time.
     """
     N = params.N
-    flip = _reflect(N)
+    flip = (-np.arange(N)) % N  # P on plane-wave rows: k -> -k
     for qi in range((N + 1) // 2):
         s = solve_dephasing_block(qi, params)
         yield s
@@ -543,44 +529,42 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
     return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, pert, sets)
 
 
-def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t, cond_limit: float = 1e8):
+def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t):
     """Evolve G through the per-momentum eigendecompositions.
 
     G(0) is expanded on the eigenmatrices A^{q,k}_{j,m} = e^{iqj} a^{q,k}_{m-j}
-    by the biorthogonal pairing: Fourier transform the shifted diagonals of
-    G(0) over the center coordinate, project each momentum component on the
-    left eigenvectors P v_j of its block (P the reflection m -> -m), damp each
-    coefficient by e^{-E t}, and transform back. Output times must be
-    strictly increasing, non-negative and finite, and t = 0 returns G0
-    exactly; hermiticity, trace and population positivity are checked at
-    every one, as in :func:`propagate_G`, which it agrees with. An
-    ill-conditioned eigenbasis raises :class:`ConditioningError` with the
-    offending block.
+    by the biorthogonal pairing: one ``fft2`` of the shifted diagonals of
+    G(0) takes the center coordinate to the block label q and the relative
+    one to the plane-wave basis of the blocks; each row is projected on its
+    block's eigenvectors w_j (their own left eigenvectors), each coefficient
+    damped by e^{-E t}, and one ``ifft2`` per output time returns to sites.
+    Output times must be strictly increasing, non-negative and finite, and
+    t = 0 returns G0 exactly; hermiticity, trace and population positivity
+    are checked at every one, as in :func:`propagate_G`, which it agrees
+    with. An eigenbasis condition bound above ``COND_LIMIT`` raises
+    :class:`ConditioningError` with the offending block.
     """
     _require_odd_ring(params)
     N = params.N
-    # shifted-diagonal representation: S[j, mu] = G_{j, (j+mu) mod N};
-    # the block label q enters as G ~ e^{+iqj}, so analysis is fft/N
+    # shifted-diagonal representation: S[j, mu] = G_{j, (j+mu) mod N}
     j = np.arange(N)
     shift = (j[:, None] + j[None, :]) % N
-    flip = _reflect(N)
 
     def evolve(Gin, ts):
-        ghat = np.fft.fft(Gin[j[:, None], shift], axis=0) / N  # ghat[q, mu]
-        # one N x N slab per output time: the evolved ghat[q, mu] first, G after
+        ghat = np.fft.fft2(Gin[j[:, None], shift])  # ghat[q, k]
+        # one N x N slab per output time: the evolved ghat[q, k] first, G after
         slabs = np.empty((ts.size, N, N), dtype=complex)
         for s in _blocks(params):
-            if s.condition > cond_limit:
+            if s.condition > COND_LIMIT:
                 raise ConditioningError(
                     f"eigenbasis condition {s.condition:.2e} at q index {s.q_index} "
-                    f"exceeds {cond_limit:.1e}; fall back to propagate_G"
+                    f"exceeds {COND_LIMIT:.1e}; fall back to propagate_G"
                 )
-            V = s.eigenvectors
-            c = (V.T @ ghat[s.q_index][flip]) / _pairing_norms(V)
-            slabs[:, s.q_index, :] = (V @ (c[:, None] * np.exp(-np.outer(s.eigenvalues, ts)))).T
+            W = s.eigenvectors
+            c = (W.T @ ghat[s.q_index]) / _pairing_norms(W)
+            slabs[:, s.q_index, :] = (W @ (c[:, None] * np.exp(-np.outer(s.eigenvalues, ts)))).T
         for G in slabs:
-            # back to site representation: G_{j, j+mu} = sum_q e^{iqj} slab[q, mu]
-            G[j[:, None], shift] = np.fft.ifft(G, axis=0) * N
+            G[j[:, None], shift] = np.fft.ifft2(G)
         return slabs
 
     return _states(G0, params, t, evolve)

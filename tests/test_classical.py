@@ -97,6 +97,25 @@ class TestSpectral:
         with pytest.raises(ValueError, match="finite, strictly increasing and non-negative"):
             cme_spectral_solve(mp(2.0, N=16), t)
 
+    def test_grid_equals_the_per_time_calls_bit_for_bit(self):
+        p = mp(1.5, N=33, d=2)
+        ts = [0.0, 0.5, 2.0]
+        profs = cme_spectral_solve(p, ts)
+        assert isinstance(profs, list) and [q.t for q in profs] == ts
+        for prof, t in zip(profs, ts):
+            one = cme_spectral_solve(p, t)
+            assert isinstance(one, DensityProfile)
+            assert np.array_equal(prof.values, one.values) and prof.origin == one.origin
+
+    def test_leaky_generator_raises(self, monkeypatch):
+        # lambda(0) < 0 drains mass: the profile must be refused, not returned
+        import levyexciton.classical as classical
+
+        ring_eigenvalues = classical._ring_eigenvalues
+        monkeypatch.setattr(classical, "_ring_eigenvalues", lambda params: ring_eigenvalues(params) - 1e-3)
+        with pytest.raises(IntegrationError, match="mass drifted"):
+            cme_spectral_solve(mp(2.0, N=16), [0.5, 1.0])
+
     def test_t0_delta(self):
         p = mp(1.0, N=128)
         prof = cme_spectral_solve(p, 0.0)

@@ -416,6 +416,26 @@ class TestMain:
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
+        "kind, lattice, sizes",
+        [
+            ("spectrum", "N = 11\nbc = periodic", "11, 11, 13"),
+            ("quantum-variance", "N = 11\nbc = periodic", "11, 13, 11"),
+            ("manybody-relax", "N = 8\nbc = open", "8, 10, 8"),
+        ],
+    )
+    def test_repeated_size_exit_2(self, tmp_path, kind, lattice, sizes, capsys):
+        # a size listed twice would be solved twice, listed twice in the
+        # manifest and counted twice by the size fits
+        text = (
+            CONFIG_TEXT.replace("classical-profile", kind)
+            .replace("N = 128\nbc = periodic", lattice)
+            .replace("fit_j_min = 8\nfit_j_max = 40\n", f"n_list = {sizes}\n")
+        )
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 2
+        assert "n_list sizes must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "kind, old, new",
         [
             ("manybody-relax", "out = {out}", "out = {out}\ntrajectories = 2\nseed = -1"),

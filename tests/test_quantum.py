@@ -324,12 +324,11 @@ class TestSpectralPropagate:
         got = spectral_propagate_G(G0, p, 0.0)
         np.testing.assert_allclose(got.G, G0.G, atol=1e-10)
 
-    def test_conditioning_guard(self):
-        from levyexciton.quantum import ConditioningError
-
+    def test_conditioning_guard(self, monkeypatch):
+        monkeypatch.setattr(quantum, "COND_LIMIT", 1.0)
         p = ring(1.5, 11)
         with pytest.raises(ConditioningError, match="propagate_G"):
-            spectral_propagate_G(initial_g_delta(p), p, 1.0, cond_limit=1.0)
+            spectral_propagate_G(initial_g_delta(p), p, 1.0)
 
     def test_matches_ode_oracle(self):
         p = ring(1.0, 51)
@@ -376,6 +375,23 @@ def dephasing_block(qi, p):
     return build_circulant(qi, p) + p.gamma * np.diag((np.arange(p.N) != 0).astype(float))
 
 
+def sites(W):
+    """Plane-wave columns (row k: e^{2 pi i m k / N} / sqrt N) as site amplitudes (row m)."""
+    return np.fft.ifft(W, axis=0) * math.sqrt(W.shape[0])
+
+
+def plane_wave_block(qi, p):
+    """The block diag(d) - (gamma/N) 1 1^T that both solver paths diagonalize."""
+    return np.diag(unperturbed_spectrum(qi, p) + p.gamma) - p.gamma / p.N
+
+
+def assert_pairing_diagonal(W):
+    # the block is complex symmetric, so W^T W is diagonal
+    P = W.T @ W
+    off = np.abs(P - np.diag(P.diagonal()))
+    assert np.max(off) <= 1e-10 * np.min(np.abs(P.diagonal()))
+
+
 def set_distance(a, b):
     """Largest gap of the best one-to-one matching between two eigenvalue sets."""
     cost = np.abs(a[:, None] - b[None, :])
@@ -395,7 +411,7 @@ class TestSecularSolver:
                 M = dephasing_block(qi, p)
                 assert set_distance(blk.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
                 assert blk.residual <= EIG_RESIDUAL_TOL
-                V = blk.eigenvectors
+                V = sites(blk.eigenvectors)
                 assert np.max(np.abs(M @ V - V * blk.eigenvalues)) <= EIG_RESIDUAL_TOL
 
     def test_q0_block_is_exact(self):
@@ -405,7 +421,7 @@ class TestSecularSolver:
         ref[0] = 0.0
         np.testing.assert_array_equal(blk.eigenvalues, ref)
         M = dephasing_block(0, p)
-        V = blk.eigenvectors
+        V = sites(blk.eigenvectors)
         np.testing.assert_allclose(M @ V, V * blk.eigenvalues, atol=1e-15)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(21), atol=1e-15)
 
@@ -415,7 +431,7 @@ class TestSecularSolver:
         E0 = unperturbed_spectrum(4, p)
         assert set_distance(blk.eigenvalues, E0) == 0.0
         M = dephasing_block(4, p)
-        V = blk.eigenvectors
+        V = sites(blk.eigenvectors)
         assert np.max(np.abs(M @ V - V * blk.eigenvalues)) <= 1e-13
 
     def test_eigenvalues_sorted_on_both_paths(self, monkeypatch):
@@ -475,7 +491,7 @@ class TestSecularSolver:
             M = dephasing_block(qi, p)
             assert set_distance(s.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
             assert s.residual <= EIG_RESIDUAL_TOL
-            V = s.eigenvectors
+            V = sites(s.eigenvectors)
             assert np.max(np.abs(M @ V - V * s.eigenvalues)) <= EIG_RESIDUAL_TOL
 
     def test_block_minus_q_is_the_mirror_of_block_q(self):
@@ -485,9 +501,29 @@ class TestSecularSolver:
         for qi in (1, 20, 21, 40):
             s = sets[qi]
             M = dephasing_block(qi, p)
-            V = s.eigenvectors
+            V = sites(s.eigenvectors)
             assert np.max(np.abs(M @ V - V * s.eigenvalues)) <= EIG_RESIDUAL_TOL
             assert set_distance(s.eigenvalues, np.linalg.eigvals(M)) <= 1e-11
+
+    def test_pairing_is_diagonal_on_every_path(self, monkeypatch):
+        # w_j is its own unconjugated left eigenvector: secular, q = 0 and dense blocks
+        p = ring(2.0, 31, gamma=1.0)
+        blocks = [solve_dephasing_block(7, p), solve_dephasing_block(0, p)]
+        monkeypatch.setattr(quantum, "_secular_roots", lambda d, rho, z: (z, False))
+        blocks.append(solve_dephasing_block(7, p))
+        assert [b.solver for b in blocks] == ["secular", "secular", "dense"]
+        for b in blocks:
+            assert_pairing_diagonal(b.eigenvectors)
+
+    def test_dense_residual_is_the_plane_wave_column_residual(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_secular_roots", lambda d, rho, z: (z, False))
+        p = ring(3.0, 31, gamma=1.0)
+        blk = solve_dephasing_block(5, p)
+        assert blk.solver == "dense"
+        M, W = plane_wave_block(5, p), blk.eigenvectors
+        # both are rounding-level sums, so they agree to rounding, not bit for bit
+        assert blk.residual == pytest.approx(np.max(np.linalg.norm(M @ W - W * blk.eigenvalues, axis=0)), rel=0.05)
+        assert blk.residual <= EIG_RESIDUAL_TOL
 
     def test_slow_modes_counts_mirrored_blocks(self):
         # the summary holds every block of the full solve, q by q, without eigenvectors

@@ -90,3 +90,15 @@ def test_benchmark_tracer_installs_and_uninstalls_against_src():
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_benchmark_smoke_tests_pass_against_src():
+    # perfbench's own tests run its tracer and workloads on tiny inputs; they read
+    # SpectralSet fields and solver entry points that src/ may change
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
