@@ -26,7 +26,7 @@ from levyexciton.manybody import (
     relaxation_summary,
     site_labels,
 )
-from levyexciton.model import ModelParams
+from levyexciton.model import ModelParams, format_float, write_csv
 
 OUT = Path(__file__).with_suffix("")
 OUT.mkdir(exist_ok=True)
@@ -48,8 +48,8 @@ for alpha in (1.0, 1.5, 2.0, 3.0):
     slope = np.polyfit(np.log(js), np.log(vals), 1)[0]
     print(f"  alpha = {alpha}: right-tail exponent {slope:+.2f} (expected {-(2 * alpha - 1):+.1f})")
     for j, n in zip(labels, traj):
-        rows.append(f"{alpha:g},{j},{n:.16e}")
-(OUT / "occupation_kt05.csv").write_text("alpha,j,n\n" + "\n".join(rows) + "\n")
+        rows.append((f"{alpha:g}", str(j), format_float(n)))
+write_csv(OUT / "occupation_kt05.csv", "alpha,j,n", rows)
 
 # ---- stochastic sampler vs exact linear dynamics ------------------------------
 

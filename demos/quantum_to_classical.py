@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from levyexciton.model import ModelParams, sum_r2_hopping_sq
+from levyexciton.model import ModelParams, format_float, sum_r2_hopping_sq, write_csv
 from levyexciton.quantum import initial_g_delta, propagate_G, variance_closed_form, variance_of_density
 
 OUT = Path(__file__).with_suffix("")
@@ -33,12 +33,7 @@ for alpha in (3.0, 1.5):
     i10 = np.argmin(np.abs(gamma * ts - 10.0))
     print(f"  at gamma t = 10: variance = {var_q[i10]:.4f}, "
           f"ballistic branch {ballistic[i10]:.4f}, diffusive branch {diffusive[i10]:.4f}")
-    rows = [
-        f"{t:.16e},{vq:.16e},{vc:.16e},{b:.16e},{d:.16e}"
-        for t, vq, vc, b, d in zip(ts, var_q, var_cf, ballistic, diffusive)
-    ]
-    (OUT / f"variance_alpha{alpha:g}.csv").write_text(
-        "t,qme,closed_form,ballistic,diffusive\n" + "\n".join(rows) + "\n"
-    )
+    rows = (map(format_float, row) for row in zip(ts, var_q, var_cf, ballistic, diffusive))
+    write_csv(OUT / f"variance_alpha{alpha:g}.csv", "t,qme,closed_form,ballistic,diffusive", rows)
 
 print(f"wrote variance tables under {OUT}/")

@@ -19,7 +19,7 @@ import numpy as np
 
 from levyexciton.analytic import coefficients, crossover, exact_profile_alpha1
 from levyexciton.classical import cme_spectral_solve, tail_fit
-from levyexciton.model import ModelParams
+from levyexciton.model import ModelParams, format_float, write_csv
 
 OUT = Path(__file__).with_suffix("")
 OUT.mkdir(exist_ok=True)
@@ -37,8 +37,8 @@ for kt in (1.0, 3.0):
           f"(expected {kt})")
     coords = prof.coordinates()[0]
     for j, n in zip(coords, prof.values):
-        rows.append(f"{kt:.1f},{int(j)},{n:.16e}")
-(OUT / "levy_profiles.csv").write_text("kappa_t,j,n\n" + "\n".join(rows) + "\n")
+        rows.append((f"{kt:.1f}", str(int(j)), format_float(n)))
+write_csv(OUT / "levy_profiles.csv", "kappa_t,j,n", rows)
 
 # closed form agrees with the solver site by site
 prof = cme_spectral_solve(params, 0.5 / kappa)
@@ -62,6 +62,6 @@ for kt in (1.0, 3.0):
           f"tail exponent {expo:+.3f} (expected -4)")
     coords = prof.coordinates()[0]
     for j, n in zip(coords, prof.values):
-        rows.append(f"{kt:.1f},{int(j)},{n:.16e}")
-(OUT / "mixed_profiles.csv").write_text("kappa_t,j,n\n" + "\n".join(rows) + "\n")
+        rows.append((f"{kt:.1f}", str(int(j)), format_float(n)))
+write_csv(OUT / "mixed_profiles.csv", "kappa_t,j,n", rows)
 print(f"\nwrote {OUT}/levy_profiles.csv and {OUT}/mixed_profiles.csv")

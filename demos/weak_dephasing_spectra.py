@@ -20,7 +20,7 @@ import numpy as np
 
 from levyexciton.analytic import coefficients
 from levyexciton.classical import ring_decay_rates
-from levyexciton.model import ModelParams
+from levyexciton.model import ModelParams, format_float, write_csv
 from levyexciton.quantum import slow_modes, solve_dephasing_spectrum, spectra_to_csv
 
 OUT = Path(__file__).with_suffix("")
@@ -54,8 +54,8 @@ for alpha in (1.0, 2.0, 3.0):
     if args.large:
         tail = np.polyfit(np.log(sizes[-3:]), np.log(gaps[-3:]), 1)[0]
         print(f"  slow-branch exponent over {sizes[-3:]} (past N*): {tail:+.3f}")
-    rows = [f"{N},{g:.16e},{c:.16e}" for N, g, c in zip(sizes, gaps, cgaps)]
-    (OUT / f"gaps_alpha{alpha:g}.csv").write_text("N,real_gap,complex_gap\n" + "\n".join(rows) + "\n")
+    rows = ((str(N), format_float(g), format_float(c)) for N, g, c in zip(sizes, gaps, cgaps))
+    write_csv(OUT / f"gaps_alpha{alpha:g}.csv", "N,real_gap,complex_gap", rows)
 
 # full spectrum export for one mid-size case
 p = ModelParams(d=1, alpha=2.0, J=J, gamma=gamma, N=101, bc="periodic")

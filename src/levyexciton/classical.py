@@ -13,7 +13,8 @@ Two independent routes are provided:
   periodic generator, obtained from the DFT of the ring kernel row.
 
 On rings the two agree to rounding, which makes the spectral route an
-independent oracle for the series.
+independent oracle for the series. Both run in the propagators' frame,
+:func:`levyexciton.model.propagated`.
 """
 
 from __future__ import annotations
@@ -26,17 +27,11 @@ import numpy as np
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 from scipy.special import ive
 
-from .model import ModelParams, axis_moments, displacement_axis, open_kernel_and_escape, output_times, ring_rate_row
+from .model import ModelParams, axis_moments, displacement_axis, open_kernel_and_escape, propagated, ring_rate_row
 
-MASS_TOL = 1e-9
-NEGATIVITY_TOL = -1e-12
 TRUNCATION = 1e-16  # bound on the dropped Chebyshev terms, relative to ||n0||_2
 
 _log = logging.getLogger(__name__)
-
-
-class IntegrationError(RuntimeError):
-    """Raised when a propagated profile breaches mass conservation or positivity."""
 
 
 @dataclass
@@ -97,16 +92,7 @@ def _term_count(z: float) -> int:
     return int(np.argmax(tail[1:] <= TRUNCATION))  # tail[k] = 2 sum_{j >= k} ive(j, z)
 
 
-def _check_invariants(values: np.ndarray, mass0: float, t: float):
-    mass = float(values.sum())
-    if abs(mass - mass0) > MASS_TOL * max(1.0, abs(mass0)):
-        raise IntegrationError(f"mass drifted to {mass} (from {mass0}) at t = {t}")
-    vmin = float(values.min())
-    if vmin < NEGATIVITY_TOL:
-        raise IntegrationError(f"negativity {vmin} beyond tolerance at t = {t}")
-
-
-def cme_integrate(n0, params: ModelParams, t_grid) -> list[DensityProfile]:
+def cme_integrate(n0, params: ModelParams, t_grid) -> DensityProfile | list[DensityProfile]:
     """Propagate a density profile through the classical master equation.
 
     ``n0`` is a :class:`DensityProfile` or an array of the lattice shape.
@@ -115,35 +101,28 @@ def cme_integrate(n0, params: ModelParams, t_grid) -> list[DensityProfile]:
     W/a + I has its spectrum in [-1, 1], so ||T_k||_2 <= 1, and the K terms
     fixed by z_max = a t_max leave a 2-norm error of at most
     TRUNCATION * ||n0||_2. One three-term recurrence serves every output
-    time, and a t = 0 row is n0 exactly. Output profiles are checked for
-    mass conservation (1e-9 relative) and non-negativity (>= -1e-12);
-    violations raise :class:`IntegrationError` rather than being clipped.
+    time t > 0; the t = 0 profile is a copy of n0. A profile that breaches
+    mass or positivity raises :class:`levyexciton.model.InvariantError`.
     """
-    t_grid = output_times(t_grid)
-    origin = None
-    if isinstance(n0, DensityProfile):
-        origin = n0.origin
-        n0 = n0.values
-    n0 = np.asarray(n0, dtype=float)
+    start = n0 if isinstance(n0, DensityProfile) else DensityProfile(0.0, n0, params.bc)
+    n0 = np.array(start.values, dtype=float)
     if n0.shape != params.shape:
         raise ValueError(f"initial profile shape {n0.shape} != lattice {params.shape}")
-    apply, a = _generator(params)
-    z = a * t_grid
-    K = _term_count(float(z[-1]))
-    Y = ive(0, z)[:, None] * n0.ravel()
-    prev, cur = None, n0
-    for k in range(1, K + 1):
-        step = cur + apply(cur) / a  # (W/a + I) T_{k-1} n0
-        prev, cur = cur, step if k == 1 else 2.0 * step - prev
-        Y += 2.0 * ive(k, z)[:, None] * cur.ravel()
-    _log.debug("cme_integrate: a = %.6g, z_max = %.6g, K = %d, convolutions = %d", a, z[-1], K, K)
-    mass0 = float(n0.sum())
-    out = []
-    for t, values in zip(t_grid, Y):
-        values = values.reshape(params.shape)
-        _check_invariants(values, mass0, float(t))
-        out.append(DensityProfile(float(t), values, params.bc, origin))
-    return out
+
+    def evolve(ts):
+        apply, a = _generator(params)
+        z = a * ts
+        K = _term_count(float(z[-1]))
+        Y = ive(0, z)[:, None] * n0.ravel()
+        prev, cur = None, n0
+        for k in range(1, K + 1):
+            step = cur + apply(cur) / a  # (W/a + I) T_{k-1} n0
+            prev, cur = cur, step if k == 1 else 2.0 * step - prev
+            Y += 2.0 * ive(k, z)[:, None] * cur.ravel()
+        _log.debug("cme_integrate: a = %.6g, z_max = %.6g, K = %d, convolutions = %d", a, z[-1], K, K)
+        return [DensityProfile(float(t), y.reshape(params.shape), params.bc, start.origin) for t, y in zip(ts, Y)]
+
+    return propagated(t_grid, DensityProfile(0.0, n0, params.bc, start.origin), evolve, lambda prof: prof.values)
 
 
 def _ring_eigenvalues(params: ModelParams) -> np.ndarray:
@@ -168,17 +147,19 @@ def cme_spectral_solve(params: ModelParams, t) -> DensityProfile | list[DensityP
     Inverse DFT of exp(lambda(q) t) with lambda the DFT of the finite ring's
     kernel row; equals the matrix exponential of the finite generator, so it
     is exact for the ring rather than a thermodynamic-limit approximation.
-    A scalar time gives one profile, a grid a list. Each profile is checked
-    for mass and positivity as in :func:`cme_integrate`.
+    The t = 0 profile is the delta itself; a scalar time gives one profile, a
+    grid a list. Each profile is checked for mass and positivity as in
+    :func:`cme_integrate`.
     """
     if params.bc != "periodic":
         raise ValueError("spectral solve requires periodic bc")
     lam = _ring_eigenvalues(params)
-    times = output_times(t)
-    out = [DensityProfile(float(tv), ifftn(np.exp(lam * tv)).real, params.bc, (0,) * params.d) for tv in times]
-    for prof in out:
-        _check_invariants(prof.values, 1.0, prof.t)
-    return out[0] if np.ndim(t) == 0 else out
+    delta = DensityProfile(0.0, np.eye(1, params.n_sites).reshape(params.shape), params.bc)
+
+    def evolve(ts):
+        return [DensityProfile(float(tv), ifftn(np.exp(lam * tv)).real, params.bc) for tv in ts]
+
+    return propagated(t, delta, evolve, lambda prof: prof.values)
 
 
 def moments(profile: DensityProfile):

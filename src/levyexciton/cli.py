@@ -7,14 +7,14 @@ artifacts plus ``manifest.json`` listing each artifact with a content hash.
 Outputs are deterministic given the config (including the seed); timestamps
 live only in the manifest. No plotting: figures are produced externally.
 
-Exit codes: 0 success; 2 configuration error (a file configparser cannot
-read, unknown or unparseable keys, invalid model parameters, J = 0, output
-times that are empty, repeated, negative, NaN or infinite, a
-``classical-profile`` run without ``times``, a negative seed for KMC
-trajectories, sizes below 2 or repeated, a tail-fit window with one bound or
-holding fewer than four sites, a kind or ``method = spectral`` on a lattice
-its solver does not cover, an even ring spectrum or an odd domain wall, a
-``tag`` holding a path separator), with nothing written; 3 solver error.
+Exit codes: 0 success; 2 configuration error (a file configparser cannot read,
+unknown or unparseable keys, invalid model parameters, J = 0, a
+kappa = 2 J^2/gamma that overflows, output times that are empty, repeated,
+negative, NaN or infinite, a ``classical-profile`` run without ``times``, a
+negative seed for KMC trajectories, sizes below 2 or repeated, a tail-fit window
+with one bound or holding fewer than four sites, a kind or ``method = spectral``
+on a lattice its solver does not cover, an even ring spectrum or an odd domain
+wall, a ``tag`` holding a path separator), with nothing written; 3 solver error.
 """
 
 from __future__ import annotations

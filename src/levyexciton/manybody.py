@@ -13,7 +13,8 @@ kappa / r^(2 alpha). Two routes to the occupation profile n_j(t):
 Sites are indexed 0..N-1 internally and carry physical labels
 j = site - N/2 in [-N/2, N/2 - 1]; the domain wall occupies all j < 0.
 For comparisons with the continuum fractional-diffusion reference on [0, N]
-the site centers sit at x_j = j + N/2 + 1/2.
+the site centers sit at x_j = j + N/2 + 1/2. Both occupation routes run in
+the propagators' frame, :func:`levyexciton.model.propagated`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .analytic import critical_alpha
 from .classical import cme_integrate
-from .model import ModelParams, format_float, open_line_rates, output_times
+from .model import InvariantError, ModelParams, format_float, open_line_rates, output_times, propagated
 
 CHI2_FIT_WINDOW = (1e-6, 1e-2)
 
@@ -157,7 +158,7 @@ def kmc_simulate(
                 at[who[k]] = dst
             t = T[-1].copy()
         if np.any(counts.sum(axis=1) != n * (start + rows.size)):
-            raise RuntimeError("particle number changed in the exclusion sampler")
+            raise InvariantError("particle number changed in the exclusion sampler")
     mean = counts / n_traj
     var = mean * (1.0 - mean) / max(n_traj - 1, 1)
     return EnsembleResult(t_out, mean, np.sqrt(var), n_traj, seed)
@@ -204,11 +205,10 @@ def _odd_block(params: ModelParams) -> np.ndarray:
     return W
 
 
-def _in_unit_interval(out: np.ndarray) -> np.ndarray:
-    lo, hi = float(out.min()), float(out.max())
-    if lo < -1e-12 or hi > 1.0 + 1e-12:
-        raise RuntimeError(f"occupations [{lo:.3e}, {hi:.3e}] leave [0, 1] in occupation evolution")
-    return out
+def _wall_occupations(times, N: int, evolve) -> np.ndarray:
+    """The rows n_j(t) from the wall; the particles n and the holes 1 - n are the frame's populations."""
+    wall = domain_wall_config(N).occupations.astype(float)
+    return np.array(propagated(output_times(times), wall, evolve, lambda n: np.concatenate((n, 1.0 - n))))
 
 
 class OddSector:
@@ -223,10 +223,12 @@ class OddSector:
 
     def occupations(self, times) -> np.ndarray:
         """n_j(t); n[N/2:] = 1/2 - y[::-1] makes mass and particle-hole symmetry exact."""
-        times = output_times(times)
-        y = (np.exp(np.outer(times, self.lam)) * self.c) @ self.U.T
-        y[times == 0] = 0.5  # the wall itself, exactly, as on the ODE route
-        return _in_unit_interval(np.hstack((0.5 + y, 0.5 - y[:, ::-1])))
+
+        def evolve(ts):
+            y = (np.exp(np.outer(ts, self.lam)) * self.c) @ self.U.T
+            return np.hstack((0.5 + y, 0.5 - y[:, ::-1]))
+
+        return _wall_occupations(times, self.N, evolve)
 
     def relaxation_series(self) -> tuple[np.ndarray, np.ndarray]:
         """chi^2/N = (4/N) sum_k c_k^2 e^{2 lam_k t} on 360 points up to 18 tau; no profile."""
@@ -243,16 +245,15 @@ def occupation_evolution(params: ModelParams, times, method: str = "eig") -> np.
     ``method="eig"`` evolves every output time exactly by :class:`OddSector`;
     ``method="ode"`` cross-checks with the Chebyshev series of
     :func:`levyexciton.classical.cme_integrate` in the full generator. Either
-    route refuses an occupation outside [0, 1] by more than 1e-12.
+    route raises :class:`InvariantError` for an occupation outside [0, 1] by more than 1e-12.
     """
     _wall_chain(params)
-    times = output_times(times)
     if method == "eig":
         return OddSector(params).occupations(times)
     if method != "ode":
         raise ValueError(f"unknown method {method!r}")
-    n0 = domain_wall_config(params.N).occupations.astype(float)
-    return _in_unit_interval(np.array([prof.values for prof in cme_integrate(n0, params, times)]))
+    wall = domain_wall_config(params.N).occupations.astype(float)
+    return _wall_occupations(times, params.N, lambda ts: [prof.values for prof in cme_integrate(wall, params, ts)])
 
 
 def particle_hole_asymmetry(trajectory: np.ndarray):

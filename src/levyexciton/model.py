@@ -20,8 +20,9 @@ rows and grids these functions return:
   the central site of an open lattice.
 
 D_alpha and alpha_cr = (d + 2)/2 come from :mod:`levyexciton.analytic` (``coefficients``,
-``critical_alpha``). The output-time check (:func:`output_times`), the number
-format of every artifact (:func:`format_float`) and the CSV writer live here too.
+``critical_alpha``). The propagators' frame (:func:`output_times`, and
+:func:`propagated` with its population check), the number format of every
+artifact (:func:`format_float`) and the CSV writer live here too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 BOUNDARY_CONDITIONS = ("periodic", "open")
+CONSERVATION_TOL = 1e-9  # drift of a state's population sum, relative (absolute below 1)
+NEGATIVITY_TOL = -1e-12  # lowest population a state may hold
+
+
+class InvariantError(RuntimeError):
+    """A propagated state lost its population sum, positivity or hermiticity."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,8 @@ class ModelParams:
             raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {self.bc!r}")
         if self.alpha <= 0:
             raise ValueError(f"decay exponent must be positive, got {self.alpha}")
+        if self.gamma > 0 and not math.isfinite(2.0 * self.J * self.J / self.gamma):
+            raise ValueError(f"kappa = 2 J^2/gamma overflows at J = {self.J}, gamma = {self.gamma}")
 
     @property
     def kappa(self) -> float:
@@ -135,6 +144,28 @@ def output_times(t) -> np.ndarray:
     if grid.size == 0 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0) and grid[0] >= 0):
         raise ValueError("output times must be finite, strictly increasing and non-negative")
     return grid
+
+
+def propagated(t, x0, evolve, populations):
+    """The frame of every propagator: its states at the output times ``t``, from ``x0``.
+
+    ``evolve(ts)`` gives the states at the times ts > 0, if any; the t = 0 state
+    is ``x0`` itself. Each state's ``populations(x)`` keep the sum of ``x0``'s
+    within ``CONSERVATION_TOL`` and stay >= ``NEGATIVITY_TOL``, or
+    :class:`InvariantError` is raised. A grid gives a list, a scalar time one state.
+    """
+    ts = output_times(t)
+    later = ts[ts > 0]
+    states = [x0] * (ts.size - later.size) + (list(evolve(later)) if later.size else [])
+    total0 = float(populations(x0).sum())
+    for tv, x in zip(ts, states):
+        pops = populations(x)
+        total, low = float(pops.sum()), float(pops.min())
+        if abs(total - total0) > CONSERVATION_TOL * max(1.0, abs(total0)):
+            raise InvariantError(f"population sum drifted to {total} (from {total0}) at t = {tv}")
+        if low < NEGATIVITY_TOL:
+            raise InvariantError(f"negative population {low:.3e} at t = {tv}")
+    return states[0] if np.ndim(t) == 0 else states
 
 
 def format_float(x: float) -> str:

@@ -11,6 +11,7 @@ generator L as e^{-gamma t/2} e^{L't}, by a Taylor series of L' = L + gamma/2
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) over steps with
 ||L'|| H <= ``TAYLOR_THETA`` = 8, at the degree ``TAYLOR_DEGREE`` = 50 that
 rounds the truncation error away; it is within 2.1e-14 of dense ``expm``.
+Both G propagators run in the frame :func:`levyexciton.model.propagated`.
 Besides direct propagation the module carries the weak-dephasing spectral
 machinery: for each momentum q of the translation-invariant ring the
 evolution block is C_q + gamma X with C_q an anti-Hermitian circulant and
@@ -36,11 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, axis_moments, format_float, hopping_row, output_times, sum_r2_hopping_sq, write_csv
+from .model import InvariantError, ModelParams, axis_moments, format_float, hopping_row, propagated, sum_r2_hopping_sq
+from .model import write_csv
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-9
-DIAG_NEGATIVITY_TOL = -1e-12
 REAL_BRANCH_IM_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e8  # largest eigenbasis condition bound spectral_propagate_G accepts
@@ -53,10 +53,7 @@ TAYLOR_DEGREE = next(
 )
 
 _log = logging.getLogger(__name__)
-
-
-class PropagationError(RuntimeError):
-    """Invariant breach during G propagation."""
+_ring_h_row = hopping_row  # the name perfbench/tracer.py spans for the ring row
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -100,7 +97,7 @@ class CorrelationMatrix:
         G = self.G
         herm = float(np.max(np.abs(G - G.conj().T)))
         if herm > HERMITICITY_TOL:
-            raise PropagationError(f"hermiticity violated: {herm:.3e} at t = {self.t}")
+            raise InvariantError(f"hermiticity violated: {herm:.3e} at t = {self.t}")
         return self
 
     @property
@@ -122,27 +119,13 @@ def initial_g_delta(params: ModelParams, site: int | None = None) -> Correlation
 
 
 def _states(G0, params: ModelParams, t, evolve) -> CorrelationMatrix | list[CorrelationMatrix]:
-    """The frame of both G propagators: ``evolve(G0, ts)`` gives the states at the times ts > 0.
-
-    The t = 0 state is G0 itself, exactly. Every state is checked for
-    hermiticity, trace and population positivity (:class:`PropagationError`).
-    A grid gives a list of states, a scalar time the one state.
-    """
-    ts = output_times(t)
+    """The G propagators' frame: ``evolve(G0, ts)`` gives G at ts > 0; the populations are the checked G's density."""
     G0 = np.array(G0.G if isinstance(G0, CorrelationMatrix) else G0, dtype=complex)
-    trace0 = float(G0.trace().real)
-    later = ts[ts > 0]  # t = 0, if asked for, is G0 itself
-    Gs = [G0] * (ts.size - later.size) + (list(evolve(G0, later)) if later.size else [])
-    out = []
-    for tv, G in zip(map(float, ts), Gs):
-        cm = CorrelationMatrix(tv, G, params.bc).check()
-        if abs(cm.trace() - trace0) > TRACE_TOL * max(1.0, abs(trace0)):
-            raise PropagationError(f"trace drift {cm.trace() - trace0:.3e} at t = {tv}")
-        dmin = float(cm.density.min())
-        if dmin < DIAG_NEGATIVITY_TOL:
-            raise PropagationError(f"negative population {dmin:.3e} at t = {tv}")
-        out.append(cm)
-    return out[0] if np.ndim(t) == 0 else out
+
+    def states(ts):
+        return [CorrelationMatrix(float(tv), G, params.bc) for tv, G in zip(ts, evolve(G0, ts))]
+
+    return propagated(t, CorrelationMatrix(0.0, G0, params.bc), states, lambda cm: cm.check().density)
 
 
 def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> CorrelationMatrix | list[CorrelationMatrix]:
@@ -160,10 +143,8 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> Correlati
     any G. The largest entry error against dense ``expm`` is 2.1e-14 (N = 21,
     gamma = 0.1 to 100). The norm bound, H and the work are logged at DEBUG.
 
-    Output times must be strictly increasing, non-negative and finite
-    (``ValueError`` otherwise); t = 0 returns G0 exactly. Hermiticity, trace
-    conservation, and population positivity are asserted at every output
-    time; a breach raises :class:`PropagationError`.
+    The output times, the t = 0 state (G0 exactly) and the invariant checks
+    come from the frame, :func:`_states`.
     """
     N, gamma = params.N, params.gamma
     h = build_h(params)
@@ -228,9 +209,6 @@ def variance_closed_form(params: ModelParams, t) -> np.ndarray:
 
 
 # -- weak-dephasing spectral machinery -----------------------------------------
-
-
-_ring_h_row = hopping_row  # the name perfbench/tracer.py spans for the ring row
 
 
 def _require_odd_ring(params: ModelParams):
@@ -538,10 +516,8 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t):
     one to the plane-wave basis of the blocks; each row is projected on its
     block's eigenvectors w_j (their own left eigenvectors), each coefficient
     damped by e^{-E t}, and one ``ifft2`` per output time returns to sites.
-    Output times must be strictly increasing, non-negative and finite, and
-    t = 0 returns G0 exactly; hermiticity, trace and population positivity
-    are checked at every one, as in :func:`propagate_G`, which it agrees
-    with. An eigenbasis condition bound above ``COND_LIMIT`` raises
+    It runs in the frame of :func:`propagate_G`, which it agrees with. An
+    eigenbasis condition bound above ``COND_LIMIT`` raises
     :class:`ConditioningError` with the offending block.
     """
     _require_odd_ring(params)

@@ -6,7 +6,6 @@ import pytest
 
 from levyexciton.classical import (
     DensityProfile,
-    IntegrationError,
     axis_profile,
     cme_integrate,
     cme_spectral_solve,
@@ -15,7 +14,7 @@ from levyexciton.classical import (
     ring_decay_rates,
     tail_fit,
 )
-from levyexciton.model import ModelParams
+from levyexciton.model import InvariantError, ModelParams
 from levyexciton.special import riemann_zeta
 
 
@@ -113,7 +112,7 @@ class TestSpectral:
 
         ring_eigenvalues = classical._ring_eigenvalues
         monkeypatch.setattr(classical, "_ring_eigenvalues", lambda params: ring_eigenvalues(params) - 1e-3)
-        with pytest.raises(IntegrationError, match="mass drifted"):
+        with pytest.raises(InvariantError, match="population sum drifted"):
             cme_spectral_solve(mp(2.0, N=16), [0.5, 1.0])
 
     def test_t0_delta(self):
@@ -274,7 +273,7 @@ class TestChebyshevPropagator:
         p = mp(2.0, N=16)
         n0 = np.zeros(16)
         n0[0], n0[1] = 1.0, -1e-3  # a negative occupation is refused, not clipped
-        with pytest.raises(IntegrationError, match="negativity"):
+        with pytest.raises(InvariantError, match="negative population"):
             cme_integrate(n0, p, [0.0, 1.0])
 
     def test_mass_breach_raises(self, monkeypatch):
@@ -288,7 +287,7 @@ class TestChebyshevPropagator:
 
         monkeypatch.setattr(classical, "_generator", leaky)
         p = mp(2.0, N=16)
-        with pytest.raises(IntegrationError, match="mass drifted"):
+        with pytest.raises(InvariantError, match="population sum drifted"):
             cme_integrate(delta_profile(p), p, [1.0])
 
     def test_logs_work_and_pins_figS2_d3_cost(self, caplog):

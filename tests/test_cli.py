@@ -1,16 +1,19 @@
 import hashlib
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from levyexciton import manybody
 from levyexciton.classical import cme_spectral_solve
 from levyexciton.cli import (
+    _KINDS,
     ConfigError,
     ExperimentConfig,
     RunOptions,
@@ -561,6 +564,19 @@ class TestMain:
         assert "kappa = 2 J^2/gamma must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["quantum-variance", "classical-moments"])
+    @pytest.mark.parametrize("model", ["J = 1e200", "J = 1e5\ngamma = 1e-300"], ids=["J-1e200", "gamma-1e-300"])
+    def test_overflowing_kappa_exit_2(self, tmp_path, kind, model, capsys):
+        # J**2 overflows at J = 1e200; at J = 1e5, gamma = 1e-300 kappa is inf
+        # and its horizon 5/kappa is 0; either is refused before the run writes
+        text = CONFIG_TEXT.replace("classical-profile", kind).replace("times = 2.5, 5.0\n", "")  # the kind's horizon
+        rows = text.replace("N = 128\nbc = periodic", "N = 16\nbc = open").splitlines()
+        for line in model.splitlines():
+            rows = [line if row.startswith(line.split(" = ")[0] + " = ") else row for row in rows]
+        assert main(["--config", str(write_config(tmp_path, text="\n".join(rows) + "\n"))]) == 2
+        assert "kappa = 2 J^2/gamma overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tail_window_follows_the_excitation(self, tmp_path):
         # sites 30..40 from a corner of a 64-site open chain hold 11 sites
         text = (
@@ -625,3 +641,42 @@ class TestPresets:
         for row in fits[1:]:
             _, expo, _ = row.split(",")
             assert float(expo) == pytest.approx(-2.0, abs=0.1)
+
+
+# a [model] value: a float (nan, inf, the edges of the float range and a subnormal
+# among them), an int, or junk text
+_FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0.0]), st.floats())
+_JUNK = st.text(alphabet="abefinx+-._ 0123456789", max_size=8)
+
+
+def _model_value(*numbers):
+    return st.one_of(*numbers, _FLOAT.map(repr), st.integers(-(10**6), 10**6).map(str), _JUNK)
+
+
+_MODEL_VALUES = st.fixed_dictionaries(
+    {
+        "d": _model_value(st.integers(-1, 4).map(str)),
+        "alpha": _model_value(),
+        "J": _model_value(),
+        "gamma": _model_value(),
+        "N": _model_value(st.integers(-2, 40).map(str)),
+        "bc": _model_value(st.sampled_from(["periodic", "open"])),
+    }
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(model=_MODEL_VALUES, kind=st.sampled_from(sorted(_KINDS)), times=st.booleans())
+@example(model=dict(d="1", alpha="2.0", J="1e200", gamma="10.0", N="16", bc="open"), kind="quantum-variance", times=True)
+@example(model=dict(d="1", alpha="2.0", J="1e5", gamma="1e-300", N="16", bc="open"), kind="quantum-variance", times=False)
+def test_load_config_returns_a_config_or_raises_config_error(model, kind, times):
+    body = "".join(f"{key} = {value}\n" for key, value in model.items())
+    text = f"[experiment]\nkind = {kind}\n\n[model]\n{body}\n[run]\n" + ("times = 0.5, 1.0\n" if times else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text)
+        try:
+            config = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(config, ExperimentConfig) and 0 < config.model.kappa < math.inf  # every kind's time scale

@@ -22,7 +22,7 @@ from levyexciton.manybody import (
     site_labels,
     step_cosine_coefficients,
 )
-from levyexciton.model import ModelParams, open_line_rates
+from levyexciton.model import InvariantError, ModelParams, open_line_rates
 
 
 def chain(alpha, N=64, kappa=1.0):
@@ -243,7 +243,7 @@ class TestOccupation:
             return -lam, U
 
         monkeypatch.setattr(np.linalg, "eigh", flipped)
-        with pytest.raises(RuntimeError, match=r"leave \[0, 1\]"):
+        with pytest.raises(InvariantError, match="negative population"):
             occupation_evolution(chain(2.0, N=32), [0.0, 1.0])
 
     def test_chi2_vs_mpmath_full_generator(self):

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from levyexciton import classical, quantum
 from levyexciton.model import (
+    InvariantError,
     ModelParams,
     classical_rate,
     escape_rate,
@@ -205,3 +208,68 @@ class TestConventions:
         rates = np.array([classical_rate(p, r) for r in range(1, p.N)])
         ulps = np.abs(w - rates) / np.spacing(rates)
         assert np.max(ulps) <= (1.0 if alpha == 1.0 else 0.0)
+
+
+# -- the propagators' frame ------------------------------------------------------
+
+FRAME_RING = ModelParams(d=1, alpha=2.0, J=1.0, gamma=1.0, N=11, bc="periodic")
+FRAME_TORUS = ModelParams(d=2, alpha=1.5, J=1.0, gamma=10.0, N=33, bc="periodic")  # its t = 0 ifftn is off the delta
+G_DELTA = quantum.initial_g_delta(FRAME_RING)
+N_DELTA = classical.DensityProfile(0.0, np.eye(1, FRAME_TORUS.n_sites).reshape(FRAME_TORUS.shape), "periodic")
+
+
+def _one_term_series(monkeypatch):
+    # e^{-gamma t/2} (1 + t L') keeps only e^{-x}(1 + x) of the trace
+    monkeypatch.setattr(quantum, "TAYLOR_DEGREE", 1)
+
+
+def _shifted_blocks(monkeypatch):
+    # every mode, the steady one too, decays at an extra rate 1e-3
+    solve = quantum.solve_dephasing_block
+
+    def shifted(qi, p):
+        s = solve(qi, p)
+        return replace(s, eigenvalues=s.eigenvalues + 1e-3)
+
+    monkeypatch.setattr(quantum, "solve_dephasing_block", shifted)
+
+
+def _draining_generator(monkeypatch):
+    generator = classical._generator
+
+    def leaky(p):
+        apply, a = generator(p)
+        return (lambda n: apply(n) - 0.01 * a * n), a
+
+    monkeypatch.setattr(classical, "_generator", leaky)
+
+
+def _draining_ring(monkeypatch):
+    eigenvalues = classical._ring_eigenvalues
+    monkeypatch.setattr(classical, "_ring_eigenvalues", lambda p: eigenvalues(p) - 1e-3)
+
+
+def _array(state):
+    return state.G if isinstance(state, quantum.CorrelationMatrix) else state.values
+
+
+@pytest.mark.parametrize(
+    "run, start, leak",
+    [
+        (lambda t: quantum.propagate_G(G_DELTA, FRAME_RING, t), G_DELTA, _one_term_series),
+        (lambda t: quantum.spectral_propagate_G(G_DELTA, FRAME_RING, t), G_DELTA, _shifted_blocks),
+        (lambda t: classical.cme_integrate(N_DELTA, FRAME_TORUS, t), N_DELTA, _draining_generator),
+        (lambda t: classical.cme_spectral_solve(FRAME_TORUS, t), N_DELTA, _draining_ring),
+    ],
+    ids=["propagate_G", "spectral_propagate_G", "cme_integrate", "cme_spectral_solve"],
+)
+def test_every_propagator_runs_in_the_frame(monkeypatch, run, start, leak):
+    # the t = 0 state is the start bit for bit, a scalar time gives one state,
+    # and a generator that loses population is refused with the typed error
+    zero, later = run([0.0, 0.5])
+    assert zero.t == 0.0 and np.array_equal(_array(zero), _array(start))
+    one = run(0.5)
+    assert not isinstance(one, list) and one.t == 0.5 and np.array_equal(_array(one), _array(later))
+    leak(monkeypatch)
+    with pytest.raises(InvariantError, match="population sum drifted"):
+        run([0.0, 1.0])

@@ -11,14 +11,13 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
-from levyexciton.model import ModelParams, sum_r2_hopping_sq
+from levyexciton.model import InvariantError, ModelParams, sum_r2_hopping_sq
 from levyexciton import quantum
 from levyexciton.quantum import (
     EIG_RESIDUAL_TOL,
     ConditioningError,
     CorrelationMatrix,
     DegenerateSpectrumError,
-    PropagationError,
     build_circulant,
     build_h,
     initial_g_delta,
@@ -610,7 +609,7 @@ class TestPropagatorParity:
         p = ring(2.0, 11)
         G = initial_g_delta(p).G
         G[0, 1] = 0.5
-        with pytest.raises(PropagationError, match="hermiticity"):
+        with pytest.raises(InvariantError, match="hermiticity"):
             propagate(G, p, [0.0, 1.0])
 
     def test_spectral_states_pass_invariants(self):
