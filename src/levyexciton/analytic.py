@@ -1,9 +1,10 @@
 """Closed-form and asymptotic transport quantities.
 
-Everything the classical walk admits in closed form lives here: the lattice
-structure function and its small-momentum expansions, diffusion and Levy
-coefficients, the asymptotic density profiles, the Gaussian/power-law
-crossover length, and the Foerster enhancement ratio.
+Everything the classical walk admits in closed form lives here: the infinite
+lattice sums, the lattice structure function and its small-momentum
+expansions, alpha_cr = (d + 2)/2 and the one test for it (:func:`is_critical`),
+diffusion and Levy coefficients, the asymptotic density profiles, the
+Gaussian/power-law crossover length, and the Foerster enhancement ratio.
 
 Conventions: the structure function is reported *dimensionless*, i.e. divided
 by the classical rate kappa, so `structure_function_eval(sf, 0)` equals the
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import wofz, zeta
 
 from .classical import cme_spectral_solve
-from .model import ModelParams, finite_lattice_sum
+from .model import ModelParams
 from .special import _epstein_cos, gamma_fn, lambert_w_m1, riemann_zeta
 
 _INTEGER_TOL = 1e-9
@@ -33,22 +34,19 @@ def _is_integer(x: float) -> bool:
 # -- lattice sums ----------------------------------------------------------------
 
 
-def lattice_sum(s: float, d: int, N: int | None = None, bc: str = "periodic") -> float:
-    """sum_{r != 0} |r|^(-s) over Z^d (N = None) or a finite N^d lattice.
+def lattice_sum(s: float, d: int) -> float:
+    """sum_{r != 0} |r|^(-s) over Z^d, for s > d.
 
-    The infinite sum requires s > d; it is 2 zeta(s) in d = 1 and the q = 0
-    Ewald sum of the structure function in d >= 2, accurate to ~1e-15
-    relative. The finite sum is exact for any s and matches the displacement
-    sets used by the solvers (minimum image for periodic, central site for open).
+    2 zeta(s) in d = 1 and the q = 0 Ewald sum of the structure function in
+    d >= 2, accurate to ~1e-15 relative. Sums over a finite lattice are
+    :func:`levyexciton.model.finite_lattice_sum`.
     """
     s = float(s)
     if not 1 <= d <= 3:
         raise ValueError(f"dimension must be 1..3, got {d}")
-    if N is None:
-        if s <= d:
-            raise ValueError(f"lattice sum diverges for s = {s} <= d = {d}")
-        return 2.0 * riemann_zeta(s) if d == 1 else _epstein_cos(s, d, np.zeros(d))
-    return finite_lattice_sum(s, N, d, bc)
+    if s <= d:
+        raise ValueError(f"lattice sum diverges for s = {s} <= d = {d}")
+    return 2.0 * riemann_zeta(s) if d == 1 else _epstein_cos(s, d, np.zeros(d))
 
 
 def _half_variance_sum(alpha: float, d: int) -> float:
@@ -73,9 +71,6 @@ class StructureFunction:
         params.require_thermodynamic()  # the q = 0 sum needs 2 alpha > d
         self.params = params
         self.a0 = lattice_sum(2 * params.alpha, params.d)
-
-    def __call__(self, q) -> float:
-        return structure_function_eval(self, q)
 
 
 def structure_function_eval(sf: StructureFunction, q) -> float:
@@ -153,7 +148,7 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
             "evaluate the structure function directly"
         )
     value = lattice_sum(2 * a, d) - C * qn ** (2 * a - d)
-    if a > critical_alpha(d):
+    if a > critical_alpha(d) and not is_critical(a, d):
         value -= _half_variance_sum(a, d) * qn**2
         return SmallQExpansion(value, "O(q^4)", "continuum-mixed")
     return SmallQExpansion(value, "O(q^2)", "continuum-levy")
@@ -166,9 +161,9 @@ def small_q_expansion(params: ModelParams, q) -> SmallQExpansion:
 class AsymptoticCoefficients:
     """Transport coefficients of the long-time profile.
 
-    D_alpha (sites^2/time) is populated only in the mixed regime
-    (alpha > alpha_cr); C_alpha (sites^(2 alpha - d)/time) is None at the
-    log-modified points where the singular power carries a logarithm.
+    D_alpha (sites^2/time) is populated only in the mixed regime (alpha >
+    alpha_cr and not :func:`is_critical`); C_alpha (sites^(2 alpha - d)/time)
+    is None at the log-modified points where the singular power carries a logarithm.
     """
 
     D_alpha: float | None
@@ -180,6 +175,11 @@ class AsymptoticCoefficients:
 def critical_alpha(d: int) -> float:
     """alpha_cr = (d + 2)/2, above which the variance sum converges; unlike :func:`coefficients`, for any alpha."""
     return (d + 2) / 2.0
+
+
+def is_critical(alpha: float, d: int) -> bool:
+    """Whether alpha is alpha_cr to within ``_INTEGER_TOL``: the regime boundary of every caller."""
+    return abs(alpha - critical_alpha(d)) < _INTEGER_TOL
 
 
 def levy_coefficient_continuum(alpha: float, d: int, kappa: float) -> float | None:
@@ -203,10 +203,9 @@ def levy_coefficient_continuum(alpha: float, d: int, kappa: float) -> float | No
 def coefficients(params: ModelParams) -> AsymptoticCoefficients:
     """Diffusion coefficient, Levy coefficient, and regime classification."""
     params.require_thermodynamic()
-    a, d = params.alpha, params.d
-    kappa = params.kappa
+    a, d, kappa = params.alpha, params.d, params.kappa
     alpha_cr = critical_alpha(d)
-    regime = "levy" if a <= alpha_cr else "mixed"
+    regime = "mixed" if a > alpha_cr and not is_critical(a, d) else "levy"
     D = kappa * _half_variance_sum(a, d) if regime == "mixed" else None
     C = levy_coefficient_continuum(a, d, kappa)
     return AsymptoticCoefficients(D_alpha=D, C_alpha=C, alpha_cr=alpha_cr, regime=regime)

@@ -54,10 +54,6 @@ class DensityProfile:
         if self.origin is None:
             self.origin = (0,) * self.values.ndim
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def total(self) -> float:
         return float(self.values.sum())
 

@@ -14,7 +14,8 @@ negative, NaN or infinite, a ``classical-profile`` run without ``times``, a
 negative seed for KMC trajectories, sizes below 2 or repeated, a tail-fit window
 with one bound or holding fewer than four sites, a kind or ``method = spectral``
 on a lattice its solver does not cover, an even ring spectrum or an odd domain
-wall, a ``tag`` holding a path separator), with nothing written; 3 solver error.
+wall, a ``tag`` holding a path separator), with nothing written; 3 solver error
+(among them a Taylor propagation above ``quantum.TAYLOR_MAX_WORK``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, classical, manybody, quantum
-from .model import ModelParams, format_float, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, displacement_axis, format_float, output_times, sum_r2_hopping_sq, write_csv
 
 SCHEMA_VERSION = "1"
 
@@ -113,9 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"tail-fit window needs both fit_j_min and fit_j_max, got {window}")
         if self.kind == "classical-profile" and None not in window:
             # the axis cut through the excited site, which tail_fit sees
-            cut = classical.DensityProfile(0.0, np.zeros(self.model.N), self.model.bc, _origin(self)[:1])
             try:
-                classical.tail_window(cut.coordinates()[0], window)
+                classical.tail_window(displacement_axis(self.model.N, _origin(self)[0], bc), window)
             except ValueError as exc:
                 raise ConfigError(f"tail-fit window {window}: {exc}") from exc
 
@@ -489,11 +489,6 @@ def run(config: ExperimentConfig) -> Path:
     return _execute([config], _config_echo(config))
 
 
-def run_many(configs: list[ExperimentConfig]) -> Path:
-    """Execute a preset made of several configs into one directory."""
-    return _execute(configs, {"preset_members": [_config_echo(c) for c in configs]})
-
-
 # -- figure presets -------------------------------------------------------------------
 
 
@@ -646,8 +641,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # a preset of several members writes one directory, its manifest echoing each member
+    echo = _config_echo(configs[0]) if len(configs) == 1 else {"preset_members": [_config_echo(c) for c in configs]}
     try:
-        manifest = run_many(configs) if len(configs) > 1 else run(configs[0])
+        manifest = _execute(configs, echo)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import critical_alpha
+from .analytic import is_critical
 from .classical import cme_integrate
 from .model import InvariantError, ModelParams, format_float, open_line_rates, output_times, propagated
 
@@ -312,11 +312,6 @@ def fit_tau(times: np.ndarray, chi: np.ndarray) -> float:
     return -1.0 / slope
 
 
-def _critical(alpha: float) -> bool:
-    """Whether alpha is the chain's alpha_cr, where tau(N) gains a log factor."""
-    return abs(alpha - critical_alpha(1)) < 1e-9
-
-
 def relaxation_time(N: int, alpha: float, beta: float, b: float) -> float:
     """The tau(N) law of the chi^2 decay: N^beta / (2 pi^beta b), over ln(N/pi) + 3/2 at alpha_cr.
 
@@ -324,7 +319,7 @@ def relaxation_time(N: int, alpha: float, beta: float, b: float) -> float:
     - 3 q^2/2 puts the slowest rate at b q^2 (ln(1/q) + 3/2), q = pi/N.
     """
     tau = N**beta / (2.0 * math.pi**beta * b)
-    return tau / (math.log(N / math.pi) + 1.5) if _critical(alpha) else tau
+    return tau / (math.log(N / math.pi) + 1.5) if is_critical(alpha, 1) else tau
 
 
 def relaxation_fit(series, Ns, alpha: float) -> RelaxationFit:
@@ -340,7 +335,7 @@ def relaxation_fit(series, Ns, alpha: float) -> RelaxationFit:
         raise ValueError("series/Ns length mismatch")
     taus = [fit_tau(t, chi) for t, chi in series]
     logtau = np.log(taus)
-    critical = _critical(alpha)
+    critical = is_critical(alpha, 1)
     if critical:
         model = np.array([relaxation_time(N, alpha, 2.0, 1.0) for N in Ns])
         logb = np.mean(np.log(model) - logtau)

@@ -9,13 +9,13 @@ kappa = 2 J^2 / gamma.
 Each lattice convention is written once, here, and the solvers index the
 rows and grids these functions return:
 
-* displacements from a site: :func:`displacement_axis`, and
-  :func:`_squared_length` for one displacement (minimum image on rings);
-  the mean and variance of site weights in them: :func:`axis_moments`;
+* displacements from a site: :func:`displacement_axis` (minimum image on
+  rings), their squared lengths: :func:`_squared_distances` on a grid; the
+  mean and variance of site weights in them: :func:`axis_moments`;
 * coherent hopping: :func:`hopping_row`, J [r^-alpha + (N-r)^-alpha] on a
   d = 1 ring (two images), J / r^alpha on an open chain;
-* rates kappa / r^(2 alpha): :func:`ring_rate_row`, :func:`open_line_rates`
-  and :func:`open_kernel_and_escape`, through one power-law helper;
+* rates kappa (|r|^2)^(-alpha), one law of those squared lengths, so every
+  rate table and :func:`classical_rate` agree bit for bit;
 * finite lattice sums: :func:`finite_lattice_sum`, from site 0 of a ring or
   the central site of an open lattice.
 
@@ -208,12 +208,17 @@ def _source_axis(N: int, bc: str) -> np.ndarray:
     return displacement_axis(N, 0 if bc == "periodic" else (N - 1) // 2, bc)
 
 
+def _squared_distances(*axes) -> np.ndarray:
+    """|r|^2 over the grid of displacements r whose k-th coordinates are ``axes[k]``, in floats."""
+    return sum(g**2 for g in np.meshgrid(*(np.asarray(a, dtype=float) for a in axes), indexing="ij"))
+
+
 def _squared_length(params: ModelParams, r) -> float:
     """|r|^2 of the displacement r under the bc (per-axis minimum image on rings); refuses r = 0."""
     r = np.atleast_1d(np.asarray(r, dtype=int))
     if params.bc == "periodic":
         r = min_image(r, params.N)
-    r2 = float(np.sum(r.astype(float) ** 2))
+    r2 = _squared_distances(*r[:, None]).item()
     if r2 == 0:
         raise ValueError(f"displacement {r.tolist()} is the site itself; kernels are undefined at r = 0")
     return r2
@@ -222,11 +227,11 @@ def _squared_length(params: ModelParams, r) -> float:
 # -- kernels -------------------------------------------------------------------
 
 
-def _off_site_power(x: np.ndarray, amp: float, p: float) -> np.ndarray:
-    """amp * x^-p where x > 0, and 0 where x = 0 (the site itself)."""
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = amp * x[nz] ** -p
+def _off_site_power(r2: np.ndarray, amp: float, alpha: float) -> np.ndarray:
+    """amp (r2)^-alpha from squared distances r2, and 0 where r2 = 0 (the site itself): the one rate law."""
+    out = np.zeros_like(r2)
+    nz = r2 > 0
+    out[nz] = amp * r2[nz] ** -alpha
     return out
 
 
@@ -264,9 +269,9 @@ def hopping_amplitude(params: ModelParams, r) -> float:
 def classical_rate(params: ModelParams, r) -> float:
     """Incoherent hopping rate kappa / |r|^(2 alpha) at displacement r != 0.
 
-    The bc distance (minimum image on rings) through the power law of
-    :func:`ring_rate_row` and the open convolution grid, so it equals their
-    entries bit for bit. Even in r, hence the walk obeys detailed balance.
+    The bc distance (minimum image on rings) through the one power law of
+    every rate table, so it equals their entries bit for bit. Even in r,
+    hence the walk obeys detailed balance.
     """
     return float(_off_site_power(np.array([_squared_length(params, r)]), params.kappa, params.alpha)[0])
 
@@ -277,18 +282,17 @@ def ring_rate_row(params: ModelParams) -> np.ndarray:
     Shape ``params.shape``; in d = 1 this is the first row of the ring
     generator. Built from squared integer minimum-image distances, so that
     every ring solver reads bit-identical rates, each equal to
-    :func:`classical_rate` (open chains read :func:`open_line_rates`).
+    :func:`classical_rate`.
     """
     if params.bc != "periodic":
         raise ValueError("ring kernel requires periodic bc")
-    axis = _source_axis(params.N, params.bc).astype(float)
-    r2 = sum(g**2 for g in np.meshgrid(*([axis] * params.d), indexing="ij"))
+    r2 = _squared_distances(*[_source_axis(params.N, params.bc)] * params.d)
     return _off_site_power(r2, params.kappa, params.alpha)
 
 
 def open_line_rates(params: ModelParams) -> np.ndarray:
-    """w[r] = kappa r^(-2 alpha) for r = 0..N-1 on an open chain (w[0] = 0); d = 1."""
-    return _off_site_power(np.arange(params.N, dtype=float), params.kappa, 2 * params.alpha)
+    """w[r] = kappa (r^2)^(-alpha) for r = 0..N-1 on an open chain (w[0] = 0); d = 1."""
+    return _off_site_power(_squared_distances(np.arange(params.N)), params.kappa, params.alpha)
 
 
 def open_kernel_and_escape(params: ModelParams):
@@ -306,8 +310,7 @@ def open_kernel_and_escape(params: ModelParams):
     from scipy.fft import irfftn, next_fast_len, rfftn
 
     shape = params.shape
-    grids = np.meshgrid(*[np.arange(-(s - 1), s) for s in shape], indexing="ij")
-    w = _off_site_power(sum(g.astype(float) ** 2 for g in grids), params.kappa, params.alpha)
+    w = _off_site_power(_squared_distances(*(np.arange(-(s - 1), s) for s in shape)), params.kappa, params.alpha)
     fshape = [next_fast_len(2 * s - 1, real=True) for s in shape]
     wf = rfftn(w, s=fshape)
     sl = tuple(slice(s - 1, 2 * s - 1) for s in shape)
@@ -324,11 +327,9 @@ def finite_displacement_norms(N: int, d: int, bc: str) -> tuple[np.ndarray, np.n
     Periodic: per-axis minimum-image displacement set of the N-ring.
     Open: displacements reachable from the central site.
     """
-    grids = np.meshgrid(*([_source_axis(N, bc)] * d), indexing="ij")
-    q = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
-    q = q[q > 0]
-    vals, counts = np.unique(q, return_counts=True)
-    return vals.astype(float), counts.astype(float)
+    q = _squared_distances(*[_source_axis(N, bc)] * d).ravel()
+    vals, counts = np.unique(q[q > 0], return_counts=True)
+    return vals, counts.astype(float)
 
 
 def finite_lattice_sum(s: float, N: int, d: int, bc: str) -> float:

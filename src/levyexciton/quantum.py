@@ -51,6 +51,7 @@ TAYLOR_THETA = 8.0  # bound on ||L' H|| over one step of propagate_G; 12 loses d
 TAYLOR_DEGREE = next(
     m for m in range(1, 200) if math.exp(TAYLOR_THETA) * TAYLOR_THETA ** (m + 1) / math.factorial(m + 1) <= 2.0**-53
 )
+TAYLOR_MAX_WORK = 1e9  # largest steps x N^3 propagate_G takes on: ~12 s at N = 128, ~29 s at N = 51, one BLAS thread
 
 _log = logging.getLogger(__name__)
 _ring_h_row = hopping_row  # the name perfbench/tracer.py spans for the ring row
@@ -66,6 +67,10 @@ class ConditioningError(RuntimeError):
 
 class SpectralError(RuntimeError):
     """Dense diagonalization failed for a momentum block."""
+
+
+class TaylorWorkError(RuntimeError):
+    """propagate_G refused: its Taylor series would take more than ``TAYLOR_MAX_WORK`` steps x N^3."""
 
 
 def build_h(params: ModelParams) -> np.ndarray:
@@ -141,7 +146,8 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> Correlati
     polynomial in tau/H times e^{-gamma tau/2}. h is real symmetric, so L'
     takes real matrix products: h G on G's float view, G h as (h G^T)^T, for
     any G. The largest entry error against dense ``expm`` is 2.1e-14 (N = 21,
-    gamma = 0.1 to 100). The norm bound, H and the work are logged at DEBUG.
+    gamma = 0.1 to 100). The norm bound, H and the work are logged at DEBUG;
+    above ``TAYLOR_MAX_WORK`` steps x N^3, :class:`TaylorWorkError` is raised first.
 
     The output times, the t = 0 state (G0 exactly) and the invariant checks
     come from the frame, :func:`_states`.
@@ -155,6 +161,9 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> Correlati
 
     def evolve(G, ts):
         anchors = max(1, math.ceil(norm * ts[-1] / TAYLOR_THETA))
+        if anchors * N**3 > TAYLOR_MAX_WORK:
+            msg = f"{anchors} Taylor steps at N = {N} to t = {ts[-1]:g} (generator norm {norm:.3g})"
+            raise TaylorWorkError(f"propagate_G would take {msg}; refused above {TAYLOR_MAX_WORK:.0e} steps x N^3")
         H = ts[-1] / anchors
         _log.debug(
             "propagate_G: norm = %.6g, H = %.6g, degree = %d, anchors = %d, applications = %d",

@@ -11,15 +11,18 @@ from levyexciton.analytic import (
     StructureFunction,
     asymptotic_profile,
     coefficients,
+    critical_alpha,
     crossover,
     exact_profile_alpha1,
     forster_ratio,
+    is_critical,
     lattice_sum,
     levy_coefficient_continuum,
     small_q_expansion,
     structure_function_eval,
 )
-from levyexciton.model import ModelParams
+from levyexciton.manybody import relaxation_time
+from levyexciton.model import ModelParams, finite_lattice_sum
 from levyexciton.special import _epstein_cos, DAWSON_STABILITY_RADIUS, riemann_zeta
 
 ZETA2 = math.pi**2 / 6
@@ -95,7 +98,7 @@ class TestLatticeSum:
                 lattice_sum(s, d)
 
     def test_finite_monotone_toward_infinite(self):
-        vals = [lattice_sum(3.0, 1, N=N, bc="open") for N in (11, 41, 161, 641)]
+        vals = [finite_lattice_sum(3.0, N, 1, "open") for N in (11, 41, 161, 641)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < lattice_sum(3.0, 1)
 
@@ -320,6 +323,16 @@ class TestSmallQ:
             got = small_q_expansion(params, q).value
             assert got == pytest.approx(structure_function_eval(sf, q), abs=5e-4 * max(q, 0.05))
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.5])
+    def test_half_integer_higher_branch_is_fourth_order(self, alpha):
+        # s = alpha - 1/2 >= 2: the log term sits at q^(2s), the series is cut at q^2
+        params = mp(alpha)
+        sf = StructureFunction(params)
+        for q in (0.05, 0.0125):
+            got = small_q_expansion(params, q)
+            assert (got.branch, got.order) == ("d1-half-integer", "O(q^4)")
+            assert abs(got.value - structure_function_eval(sf, q)) <= 0.2 * q**4
+
     def test_q0_exact_for_all_branches(self):
         for alpha in (1.0, 1.5, 2.0, 1.3, 2.25):
             got = small_q_expansion(mp(alpha), 0.0)
@@ -386,6 +399,18 @@ class TestCoefficients:
     def test_regime_boundary(self):
         assert coefficients(mp(1.5)).regime == "levy"
         assert coefficients(mp(1.501)).regime == "mixed"
+
+    @pytest.mark.parametrize("offset", [-5e-10, 5e-10])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_alpha_within_tolerance_of_alpha_cr_is_critical(self, d, offset):
+        # one test of alpha_cr for the regime, the q^2 term and the tau(N) law
+        alpha = critical_alpha(d) + offset
+        assert is_critical(alpha, d)
+        co = coefficients(mp(alpha, d=d, N=16))
+        assert (co.regime, co.D_alpha) == ("levy", None)
+        if d == 1:
+            assert relaxation_time(100, alpha, 2.0, 1.0) == relaxation_time(100, 1.5, 2.0, 1.0)
+            assert relaxation_time(100, alpha, 2.0, 1.0) < relaxation_time(100, 1.6, 2.0, 1.0)
 
     @pytest.mark.parametrize("alpha", [0.75, 1.25, 1.8, 2.3])
     def test_d1_and_continuum_formulas_agree(self, alpha):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from levyexciton.cli import (
     main,
     run,
 )
-from levyexciton.model import ModelParams
+from levyexciton.model import ModelParams, sum_r2_hopping_sq
 
 
 CONFIG_TEXT = """\
@@ -584,6 +585,47 @@ class TestMain:
             .replace("N = 128\nbc = periodic", "N = 64\nbc = open")
         )
         assert load_config(write_config(tmp_path, text=text)).run.fit_j_min == 30
+
+    def test_multi_member_preset_writes_one_manifest(self, tmp_path):
+        assert main(["--preset", "figS1", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        members = manifest["config"]["preset_members"]
+        assert [m["run"]["tag"] for m in members] == ["a10", "a15"]
+        assert all(m["kind"] == "quantum-variance" and m["run"]["normalize"] for m in members)
+        names = sorted(e["name"] for e in manifest["artifacts"])
+        assert names == sorted(f"variance{n}_{tag}.csv" for tag in ("a10", "a15") for n in ("", "_N21", "_N41"))
+
+    def test_normalize_flag_divides_by_the_hopping_moment(self, tmp_path):
+        text = (
+            CONFIG_TEXT.replace("classical-profile", "quantum-variance")
+            .replace("alpha = 1.0", "alpha = 1.5")
+            .replace("N = 128\nbc = periodic", "N = 15\nbc = open")
+            .replace("fit_j_min = 8\nfit_j_max = 40\n", "")
+        )
+        plain = load_config(write_config(tmp_path, text=text))
+        scaled = load_config(write_config(tmp_path, text=text + "normalize = yes\n"))
+        assert not plain.run.normalize and scaled.run.normalize
+        tables = []
+        for cfg, out in ((plain, tmp_path / "plain"), (scaled, tmp_path / "scaled")):
+            run(replace(cfg, run=replace(cfg.run, out_dir=str(out))))
+            tables.append(np.loadtxt(out / "variance.csv", delimiter=",", skiprows=1))
+        norm = sum_r2_hopping_sq(plain.model)
+        assert np.array_equal(tables[1][:, 0], tables[0][:, 0])
+        assert np.array_equal(tables[1][:, 1:], tables[0][:, 1:] / norm)
+
+    def test_taylor_work_refused_exit_3(self, tmp_path, capsys):
+        # a 128-site ring at J = 1e5 at alpha = 1 would need 765,304 Taylor steps to t = 5
+        text = (
+            CONFIG_TEXT.replace("classical-profile", "quantum-variance")
+            .replace("J = 1.0", "J = 1e5")
+            .replace("fit_j_min = 8\nfit_j_max = 40\n", "")
+        )
+        started = time.perf_counter()
+        assert main(["--config", str(write_config(tmp_path, text=text))]) == 3
+        assert time.perf_counter() - started < 20.0
+        err = capsys.readouterr().err
+        assert "solver error" in err and "Taylor steps" in err
+        assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize(
         "text",

@@ -112,6 +112,16 @@ class TestTaylorPropagator:
         assert int(got["anchors"]) == anchors
         assert int(got["applications"]) == anchors * quantum.TAYLOR_DEGREE
 
+    def test_refuses_work_above_the_bound(self, monkeypatch):
+        p = ring(2.0, 31, gamma=0.1)
+        levels = np.linalg.eigvalsh(build_h(p))
+        anchors = math.ceil((levels[-1] - levels[0] + p.gamma / 2) * 40.0 / quantum.TAYLOR_THETA)
+        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", anchors * p.N**3)
+        propagate_G(initial_g_delta(p), p, [0.0, 40.0])
+        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", anchors * p.N**3 - 1)
+        with pytest.raises(quantum.TaylorWorkError, match=f"take {anchors} Taylor steps at N = 31"):
+            propagate_G(initial_g_delta(p), p, [0.0, 40.0])
+
 
 def test_import_leaves_scipy_integrate_out():
     root = Path(__file__).resolve().parents[1]

@@ -1,4 +1,4 @@
-"""The artifact comparator of tools/artifacts.py on hand-made output trees, and the benchmark tracer against src/."""
+"""The artifact runner and comparator of tools/artifacts.py on hand-made trees, and the benchmark tracer against src/."""
 
 import hashlib
 import importlib.util
@@ -68,6 +68,34 @@ def test_artifact_list_and_config_changes_are_reported(tmp_path):
     assert artifacts.compare_trees(a, b) == [
         "run: config echoes differ",
         "run: artifact lists differ: ['summary.txt']",
+    ]
+
+
+STUB_DEMO = """\
+from pathlib import Path
+
+OUT = Path(__file__).with_suffix("")
+OUT.mkdir(exist_ok=True)
+(OUT / "table.csv").write_text("x,y\\n1,{value}\\n")
+"""
+
+
+def test_demos_run_from_copies_and_get_manifests(tmp_path):
+    for side, value in (("a", "2.0"), ("b", "2.5")):
+        src = tmp_path / f"src-{side}"
+        (src / "demos").mkdir(parents=True)
+        (src / "demos" / "stub.py").write_text(STUB_DEMO.format(value=value))
+        artifacts.run_demos(src, tmp_path / f"out-{side}")
+        assert not (src / "demos" / "stub").exists()  # the copy ran, not the script
+    run = tmp_path / "out-a" / "demo-stub"
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["config"] == {"demo": "stub"}
+    (entry,) = manifest["artifacts"]
+    assert entry["name"] == "stub/table.csv"
+    assert entry["sha256"] == hashlib.sha256((run / "stub" / "table.csv").read_bytes()).hexdigest()
+    assert artifacts.compare_trees(tmp_path / "out-a", tmp_path / "out-a") == []
+    assert artifacts.compare_trees(tmp_path / "out-a", tmp_path / "out-b") == [
+        "demo-stub/stub/table.csv: max abs 5.000e-01, max rel 2.000e-01"
     ]
 
 

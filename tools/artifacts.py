@@ -1,11 +1,14 @@
-"""Run every figure preset of a source tree, and compare two such output trees.
+"""Run every figure preset and demo of a source tree, and compare two such output trees.
 
-    python tools/artifacts.py run SRC OUT     # each preset of SRC/src, plus analytic-report, into OUT/<name>/
+    python tools/artifacts.py run SRC OUT     # each preset of SRC/src, plus analytic-report, into OUT/<name>/,
+                                              # and each script of SRC/demos into OUT/demo-<name>/
     python tools/artifacts.py compare A B     # exit 0 when every artifact is byte-identical
 
-``run`` starts one fresh interpreter per preset with one BLAS thread, so that
-two trees are measured the same way. ``compare`` reads the manifests first:
-the artifact lists, the config echoes and the sha256 of each artifact. It
+``run`` starts one fresh interpreter per preset and per demo with one BLAS
+thread, so that two trees are measured the same way. A demo runs from a copy
+in OUT/demo-<name>/, writes its files into the folder <name>/ beside that
+copy, and gets a manifest listing them as <name>/<file>. ``compare`` reads
+the manifests first: the artifact lists, the config echoes and the sha256 of each artifact. It
 ignores the manifest's ``created`` stamp and the output paths (``out`` in the
 config echo). For each artifact whose hash differs it prints the largest
 absolute and relative difference over the numbers in the file; tokens that
@@ -15,10 +18,12 @@ are not numbers must match exactly.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -53,6 +58,24 @@ def run_presets(src: Path, out: Path) -> None:
         for name, args in jobs:
             print(name, flush=True)
             subprocess.run([*cli, *args, "--out", str(out / name)], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def run_demos(src: Path, out: Path) -> None:
+    """Run each script of SRC/demos from a copy in OUT/demo-<name>/ and write its manifest there."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src.resolve() / "src")}
+    for script in sorted((src / "demos").glob("*.py")):
+        run = out / f"demo-{script.stem}"
+        run.mkdir(parents=True, exist_ok=True)
+        print(run.name, flush=True)
+        copy = shutil.copy(script, run)
+        subprocess.run([sys.executable, str(copy)], cwd=run, env=env, check=True, stdout=subprocess.DEVNULL)
+        entries = [
+            {"name": str(path.relative_to(run)), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for path in sorted((run / script.stem).rglob("*"))
+            if path.is_file()
+        ]
+        manifest = {"artifacts": entries, "config": {"demo": script.stem}}
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _without_out(echo):
@@ -126,7 +149,7 @@ def compare_trees(a: Path, b: Path) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
-    r = sub.add_parser("run", help="run every preset and analytic-report of a source tree")
+    r = sub.add_parser("run", help="run every preset, analytic-report and demo of a source tree")
     r.add_argument("src", type=Path, help="source tree holding src/levyexciton")
     r.add_argument("out", type=Path, help="output directory, one subdirectory per run")
     c = sub.add_parser("compare", help="compare two output trees of `run`")
@@ -135,6 +158,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.cmd == "run":
         run_presets(args.src, args.out)
+        run_demos(args.src, args.out)
         return 0
     report = compare_trees(args.a, args.b)
     n = sum(len(json.loads(m.read_text())["artifacts"]) for m in args.a.glob("*/manifest.json"))
