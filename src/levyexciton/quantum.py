@@ -21,12 +21,15 @@ exposes the slow (non-perturbative) one.
 
 Every block is solved, checked and stored in the plane-wave basis, where it
 is the complex symmetric diag(d) - (gamma/N) 1 1^T, d = E0 + gamma with E0
-the circulant's levels (one FFT): its roots solve (gamma/N) sum_k 1/(d_k - E)
-= 1, its eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), each its
-own unconjugated left eigenvector (Horn & Johnson, Matrix Analysis, 4.4).
-Dense ``eig`` of the same matrix is the fallback, under the same check; only
+the circulant's levels i(eps_k - eps_{k-q}), eps the band (one real FFT of
+the hopping row): its roots solve (gamma/N) sum_k 1/(d_k - E) = 1, its
+eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), each its own
+unconjugated left eigenvector (Horn & Johnson, Matrix Analysis, 4.4). Dense
+``eig`` of the same matrix is the fallback, under the same check; only
 ``spectral_propagate_G`` maps to sites. Blocks q and -q are transposes of each
-other, so one walk (``_blocks``) solves (N + 1)/2 blocks and mirrors the rest.
+other, so one walk (``_blocks``) solves (N + 1)/2 blocks and mirrors the rest;
+a mirror shares its block's eigenvalues, which the propagator's decay factors
+and the spectrum rows use.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
+import scipy.fft
 
 from .model import InvariantError, ModelParams, axis_moments, format_float, hopping_row, propagated, sum_r2_hopping_sq
 from .model import write_csv
@@ -51,7 +56,11 @@ TAYLOR_THETA = 8.0  # bound on ||L' H|| over one step of propagate_G; 12 loses d
 TAYLOR_DEGREE = next(
     m for m in range(1, 200) if math.exp(TAYLOR_THETA) * TAYLOR_THETA ** (m + 1) / math.factorial(m + 1) <= 2.0**-53
 )
-TAYLOR_MAX_WORK = 1e9  # largest steps x N^3 propagate_G takes on: ~12 s at N = 128, ~29 s at N = 51, one BLAS thread
+# one Taylor step costs about a (N^3 + TAYLOR_STEP_OVERHEAD), the constant being its fixed Python and call
+# cost: timed on open chains on a 2-vCPU host with one BLAS thread, 0.66 ms per step at N = 11, 1.9 ms at
+# N = 41 and 25 ms at N = 128, so a ~ 1.2e-8 s and the constant ~ 0.66 ms / a ~ 37^3
+TAYLOR_STEP_OVERHEAD = 5e4
+TAYLOR_MAX_WORK = 1e9  # largest steps x (N^3 + TAYLOR_STEP_OVERHEAD) propagate_G takes on: ~12-16 s at any N
 
 _log = logging.getLogger(__name__)
 _ring_h_row = hopping_row  # the name perfbench/tracer.py spans for the ring row
@@ -70,7 +79,7 @@ class SpectralError(RuntimeError):
 
 
 class TaylorWorkError(RuntimeError):
-    """propagate_G refused: its Taylor series would take more than ``TAYLOR_MAX_WORK`` steps x N^3."""
+    """propagate_G refused: its Taylor series would take more than ``TAYLOR_MAX_WORK`` steps x (N^3 + c)."""
 
 
 def build_h(params: ModelParams) -> np.ndarray:
@@ -147,7 +156,8 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> Correlati
     takes real matrix products: h G on G's float view, G h as (h G^T)^T, for
     any G. The largest entry error against dense ``expm`` is 2.1e-14 (N = 21,
     gamma = 0.1 to 100). The norm bound, H and the work are logged at DEBUG;
-    above ``TAYLOR_MAX_WORK`` steps x N^3, :class:`TaylorWorkError` is raised first.
+    above ``TAYLOR_MAX_WORK`` steps x (N^3 + c), c = ``TAYLOR_STEP_OVERHEAD``
+    the fixed cost of a step, :class:`TaylorWorkError` is raised first.
 
     The output times, the t = 0 state (G0 exactly) and the invariant checks
     come from the frame, :func:`_states`.
@@ -161,9 +171,10 @@ def propagate_G(G0: CorrelationMatrix, params: ModelParams, t_grid) -> Correlati
 
     def evolve(G, ts):
         anchors = max(1, math.ceil(norm * ts[-1] / TAYLOR_THETA))
-        if anchors * N**3 > TAYLOR_MAX_WORK:
+        if anchors * (N**3 + TAYLOR_STEP_OVERHEAD) > TAYLOR_MAX_WORK:
             msg = f"{anchors} Taylor steps at N = {N} to t = {ts[-1]:g} (generator norm {norm:.3g})"
-            raise TaylorWorkError(f"propagate_G would take {msg}; refused above {TAYLOR_MAX_WORK:.0e} steps x N^3")
+            limit = f"{TAYLOR_MAX_WORK:.0e} steps x (N^3 + {TAYLOR_STEP_OVERHEAD:.0e})"
+            raise TaylorWorkError(f"propagate_G would take {msg}; refused above {limit}")
         H = ts[-1] / anchors
         _log.debug(
             "propagate_G: norm = %.6g, H = %.6g, degree = %d, anchors = %d, applications = %d",
@@ -242,17 +253,22 @@ def build_circulant(q_index: int, params: ModelParams) -> np.ndarray:
 
 
 def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
-    """Eigenvalues of C_q: the DFT of its first row, purely imaginary.
+    """Eigenvalues of C_q: i(eps_k - eps_{k-q}), with real parts exactly 0.
 
-    Entry k belongs to the plane wave e^{2 pi i m k / N} / sqrt N. For odd
-    N exactly one eigenvalue vanishes per momentum and the remainder come in
+    Entry k belongs to the plane wave e^{2 pi i m k / N} / sqrt N, whose
+    coherence with plane wave k - q oscillates at the band-energy difference
+    (Haken & Strobl, Z. Phys. 262, 1973); the band eps_k = sum_m h_m e^{2 pi
+    i m k / N} is real, as the ring row is even, so one real FFT of
+    :func:`levyexciton.model.hopping_row` gives every level. For odd N
+    exactly one eigenvalue vanishes per momentum and the remainder come in
     conjugate pairs.
     """
     _require_odd_ring(params)
-    N = params.N
-    q = momentum(params, q_index)
-    row = 1j * (1.0 - np.exp(-1j * q * np.arange(N))) * hopping_row(params)
-    return np.fft.ifft(row) * N
+    eps = np.fft.rfft(hopping_row(params)).real
+    eps = np.concatenate((eps, eps[:0:-1]))  # eps_{N-k} = eps_k
+    E0 = np.zeros(params.N, dtype=complex)
+    E0.imag = eps - eps[(np.arange(params.N) - q_index) % params.N]
+    return E0
 
 
 def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> np.ndarray:
@@ -504,14 +520,15 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
     which perturbation theory places at gamma (N-1)/N; perturbative_min_re:
     smallest decaying real part of the first-order series over all N blocks
     (second order moves only imaginary parts, so it is the real part at
-    order 2 too, and it needs no level gaps). Each block drops its
+    order 2 too, and it needs no level gaps), read from blocks 0..(N-1)/2, as
+    block N - q has block q's levels mirrored. Each block drops its
     eigenvectors once solved.
     """
     sets = sorted((replace(s, eigenvectors=None) for s in _blocks(params)), key=lambda s: s.q_index)
     re = np.concatenate([s.eigenvalues.real for s in sets])
     real = np.concatenate([s.branch for s in sets]) == "real"
     slow = decaying(re[real], params.gamma)
-    first = np.concatenate([perturbative_spectrum(qi, params, order=1).real for qi in range(params.N)])
+    first = np.concatenate([perturbative_spectrum(qi, params, order=1).real for qi in range((params.N + 1) // 2)])
     pert = float(np.min(decaying(first, params.gamma)))
     return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, pert, sets)
 
@@ -524,7 +541,8 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t):
     G(0) takes the center coordinate to the block label q and the relative
     one to the plane-wave basis of the blocks; each row is projected on its
     block's eigenvectors w_j (their own left eigenvectors), each coefficient
-    damped by e^{-E t}, and one ``ifft2`` per output time returns to sites.
+    damped by e^{-E t}, formed once per mirror pair q, N - q, which share their
+    eigenvalues, and one ``scipy.fft.ifft2`` per output time returns to sites.
     It runs in the frame of :func:`propagate_G`, which it agrees with. An
     eigenbasis condition bound above ``COND_LIMIT`` raises
     :class:`ConditioningError` with the offending block.
@@ -545,11 +563,13 @@ def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t):
                     f"eigenbasis condition {s.condition:.2e} at q index {s.q_index} "
                     f"exceeds {COND_LIMIT:.1e}; fall back to propagate_G"
                 )
+            if s.q_index <= N // 2:  # a solved block: its mirror, next, shares the eigenvalues
+                decay = np.exp(-np.outer(s.eigenvalues, ts))
             W = s.eigenvectors
             c = (W.T @ ghat[s.q_index]) / _pairing_norms(W)
-            slabs[:, s.q_index, :] = (W @ (c[:, None] * np.exp(-np.outer(s.eigenvalues, ts)))).T
+            slabs[:, s.q_index, :] = (W @ (c[:, None] * decay)).T
         for G in slabs:
-            G[j[:, None], shift] = np.fft.ifft2(G)
+            G[j[:, None], shift] = scipy.fft.ifft2(G)
         return slabs
 
     return _states(G0, params, t, evolve)
@@ -559,10 +579,19 @@ SPECTRUM_CSV_HEADER = "q_index,k_index,re_E,im_E,branch"
 
 
 def spectrum_rows(sets: list[SpectralSet]):
-    """CSV rows under :data:`SPECTRUM_CSV_HEADER`, one per eigenvalue."""
+    """CSV rows under :data:`SPECTRUM_CSV_HEADER`, one per eigenvalue.
+
+    A mirror block N - q shares block q's eigenvalue array (:func:`_blocks`),
+    so each pair's numbers are formatted once.
+    """
+    text = {}  # id -> (array, strings); holding the array keeps its id from being reused
     for s in sets:
-        for k, E in enumerate(s.eigenvalues):
-            yield str(s.q_index), str(k), format_float(E.real), format_float(E.imag), s.branch[k]
+        E = s.eigenvalues
+        _, strings = text.pop(id(E), (None, None))
+        if strings is None:
+            strings = list(map(format_float, E.real.tolist())), list(map(format_float, E.imag.tolist()))
+            text[id(E)] = (E, strings)
+        yield from zip(repeat(str(s.q_index)), map(str, range(E.size)), *strings, s.branch.tolist())
 
 
 def spectra_to_csv(sets: list[SpectralSet], path):

@@ -89,6 +89,16 @@ class TestAcceptance:
             "gamma t = 100 (see the README's list of by-design failures)"
         )
 
+    def test_03_companion_longer_chain(self):
+        # criterion 3's comparison with the gate's own bound on a chain twice
+        # as long: the boundary leak falls about like N^-5 (sup 4.2e-7 at N = 81)
+        p = ModelParams(d=1, alpha=3.0, J=1.0, gamma=10.0, N=81, bc="open")
+        ts = np.linspace(0.05, 10.0, 200)  # gamma t in (0, 100]
+        states = propagate_G(initial_g_delta(p), p, ts)
+        var_q = np.array([variance_of_density(s) for s in states])
+        sup = float(np.max(np.abs(var_q - variance_closed_form(p, ts))))
+        assert sup <= 1e-6, f"sup-norm {sup:.3e} exceeds 1e-6 at N = 81"
+
     def test_04_levy_profile(self):
         p = ring(1.0, 1000)
         t = 1.0 / p.kappa

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
-from levyexciton.model import InvariantError, ModelParams, sum_r2_hopping_sq
+from levyexciton.classical import cme_integrate
+from levyexciton.model import InvariantError, ModelParams, format_float, hopping_row, sum_r2_hopping_sq
 from levyexciton import quantum
 from levyexciton.quantum import (
     EIG_RESIDUAL_TOL,
@@ -116,11 +118,26 @@ class TestTaylorPropagator:
         p = ring(2.0, 31, gamma=0.1)
         levels = np.linalg.eigvalsh(build_h(p))
         anchors = math.ceil((levels[-1] - levels[0] + p.gamma / 2) * 40.0 / quantum.TAYLOR_THETA)
-        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", anchors * p.N**3)
+        work = anchors * (p.N**3 + quantum.TAYLOR_STEP_OVERHEAD)
+        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", work)
         propagate_G(initial_g_delta(p), p, [0.0, 40.0])
-        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", anchors * p.N**3 - 1)
+        monkeypatch.setattr(quantum, "TAYLOR_MAX_WORK", work - 1)
         with pytest.raises(quantum.TaylorWorkError, match=f"take {anchors} Taylor steps at N = 31"):
             propagate_G(initial_g_delta(p), p, [0.0, 40.0])
+
+    def test_small_ring_pays_the_per_step_cost(self, caplog):
+        # a step's fixed cost is about 37^3 of work, 30 times 11^3: steps x N^3
+        # alone would let a ring this small run for minutes under the bound
+        p = ring(2.0, 11, gamma=0.1)
+        levels = np.linalg.eigvalsh(build_h(p))
+        norm = levels[-1] - levels[0] + p.gamma / 2
+        t = 1e5 * quantum.TAYLOR_THETA / norm
+        anchors = math.ceil(norm * t / quantum.TAYLOR_THETA)
+        assert anchors * p.N**3 <= quantum.TAYLOR_MAX_WORK < anchors * (p.N**3 + quantum.TAYLOR_STEP_OVERHEAD)
+        with caplog.at_level(logging.DEBUG, logger="levyexciton"):
+            with pytest.raises(quantum.TaylorWorkError, match=f"take {anchors} Taylor steps at N = 11"):
+                propagate_G(initial_g_delta(p), p, [0.0, t])
+        assert not [r for r in caplog.records if r.name == "levyexciton.quantum"]  # refused before the step plan
 
 
 def test_import_leaves_scipy_integrate_out():
@@ -183,6 +200,27 @@ class TestClosedFormVariance:
                 assert tstar(alpha, gamma) * gamma == pytest.approx(base, rel=1e-9)
 
 
+class TestZenoLimit:
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_populations_approach_the_classical_walk_as_gamma_squared(self, alpha):
+        # under strong dephasing the populations follow the classical walk at
+        # rates 2 h(r)^2 / gamma (Haken & Strobl, Z. Phys. 262, 1973), with an
+        # O(1/gamma^2) error: doubling gamma divides it by 4 (measured 3.89,
+        # 4.01, 4.03 at alpha = 1, 2, 3)
+        def error(gamma):
+            p = mp(alpha, N=41, gamma=gamma)
+            ts = np.array([0.5, 1.0, 2.0]) / p.kappa
+            n0 = np.zeros(p.N)
+            n0[p.N // 2] = 1.0
+            quantum_states = propagate_G(initial_g_delta(p), p, ts)
+            return max(
+                float(np.max(np.abs(cm.density - prof.values)))
+                for cm, prof in zip(quantum_states, cme_integrate(n0, p, ts))
+            )
+
+        assert 3.8 <= error(20.0) / error(40.0) <= 4.2
+
+
 class TestCirculant:
     def test_q0_is_zero_matrix(self):
         C0 = build_circulant(0, ring(2.0, 11))
@@ -242,6 +280,24 @@ class TestUnperturbedSpectrum:
         with pytest.raises(ValueError, match="odd"):
             unperturbed_spectrum(1, ring(2.0, 10))
 
+    @pytest.mark.parametrize("alpha, qi", [(1.0, 81), (2.0, 89)])
+    def test_band_difference_matches_mpmath(self, alpha, qi):
+        # level k is i(eps_k - eps_{k-q}), eps_k = 2 sum_{m=1}^{(N-1)/2} h_m cos(2 pi m k / N)
+        # (h_0 = 0), summed in 30 digits from the same float row; a complex FFT of the
+        # circulant's row i(1 - e^{-iqm}) h_m misses it by up to 1.3e-13, with real parts up to 4.9e-13
+        mpmath = pytest.importorskip("mpmath")
+        p = ring(alpha, 201)
+        h = hopping_row(p)
+        with mpmath.workdps(30):
+            eps = [
+                mpmath.fsum(2 * mpmath.mpf(h[m]) * mpmath.cos(2 * mpmath.pi * m * k / p.N) for m in range(1, 101))
+                for k in range(p.N)
+            ]
+            ref = np.array([float(eps[k] - eps[(k - qi) % p.N]) for k in range(p.N)])
+        E0 = unperturbed_spectrum(qi, p)
+        assert np.max(np.abs(E0.imag - ref)) <= 1e-14
+        assert np.all(E0.real == 0.0)
+
 
 class TestPerturbativeSpectrum:
     def test_first_order_shift_is_uniform(self):
@@ -280,6 +336,11 @@ class TestPerturbativeSpectrum:
                 assert best == pytest.approx(p.gamma * (p.N - 1) / p.N, rel=0.05)
             assert slow_modes(p).perturbative_min_re == best
 
+    def test_slow_modes_first_order_minimum_is_exact(self):
+        # the levels are exactly imaginary, so every first-order real part is gamma (N-1)/N to the bit
+        p = ring(2.0, 51)
+        assert slow_modes(p).perturbative_min_re == p.gamma * (p.N - 1) / p.N
+
     def test_third_order_is_real_valued_correction(self):
         p = ring(2.0, 31)
         e2 = perturbative_spectrum(5, p, order=2)
@@ -304,6 +365,17 @@ class TestSlowModes:
             ref = np.sort(unperturbed_spectrum(qi, p).imag)
             np.testing.assert_allclose(got, ref, atol=1e-9)
             assert np.max(np.abs(blk.eigenvalues.real)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_block1_slow_root_is_diffusive(self, alpha):
+        # past the detachment size the real root of block q = 2 pi / N decays
+        # at D q^2, D = sum_r r^2 h(r)^2 / gamma (measured ratio 1.0024 at
+        # alpha = 2, 1.0075 at alpha = 3)
+        p = ring(alpha, 801)
+        blk = solve_dephasing_block(1, p)
+        (root,) = blk.eigenvalues.real[blk.branch == "real"]
+        q = momentum(p, 1)
+        assert root / (sum_r2_hopping_sq(p) / p.gamma * q**2) == pytest.approx(1.0, rel=0.01)
 
     def test_complex_gap_matches_perturbation(self):
         p = ring(2.0, 51)
@@ -568,6 +640,25 @@ class TestBlockWalk:
         assert solved == list(range(11))
         ode = propagate_G(initial_g_delta(p), p, [0.5, 2.0])
         assert max(np.max(np.abs(a.G - b.G)) for a, b in zip(states, ode)) < 1e-8
+
+    def test_spectrum_rows_format_each_mirror_pair_once(self):
+        p = ring(2.0, 21, gamma=1.0)
+        sets = solve_dephasing_spectrum(p)
+        rows = list(quantum.spectrum_rows(sets))
+        plain = [
+            (str(s.q_index), str(k), format_float(E.real), format_float(E.imag), str(s.branch[k]))
+            for s in sets
+            for k, E in enumerate(s.eigenvalues)
+        ]
+        assert rows == plain
+        by_q = {int(r[0]): [] for r in rows}
+        for r in rows:
+            by_q[int(r[0])].append(r)
+        for q in range(1, 11):  # block N - q reuses block q's strings
+            assert all(a[2] is b[2] and a[3] is b[3] for a, b in zip(by_q[q], by_q[21 - q]))
+        # sets that share no arrays give the same rows
+        copies = [replace(s, eigenvalues=s.eigenvalues.copy(), branch=s.branch.copy()) for s in sets]
+        assert list(quantum.spectrum_rows(copies)) == plain
 
 
 class TestPropagatorParity:
