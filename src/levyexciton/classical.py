@@ -6,9 +6,9 @@ Two independent routes are provided:
 
 * :func:`cme_integrate` -- the Chebyshev-Bessel series of exp(tW) with the
   generator W applied by FFT convolution (both boundary conditions, d <= 3;
-  on open lattices each axis is zero-padded to a fast FFT length >= 2N - 1,
-  see :func:`levyexciton.model.open_kernel_and_escape`). Its term count is
-  fixed up front by a certified 1e-16 truncation bound;
+  on open lattices each axis is transformed only over the lines that hold
+  data or are kept, see :func:`levyexciton.model.open_kernel_and_escape`).
+  Its term count is fixed up front by a certified 1e-16 truncation bound;
 * :func:`cme_spectral_solve` -- the exact matrix exponential of the finite
   periodic generator, obtained from the DFT of the ring kernel row.
 

@@ -300,23 +300,33 @@ def open_kernel_and_escape(params: ModelParams):
 
     Returns ``(convolve, escape)``. ``convolve(n)`` is the linear convolution
     sum over lattice sites l of w(|l - j|) n_l, for an array n of the lattice
-    shape. The kernel w(r) on (-(N-1)..N-1)^d is zero-padded on each axis to
-    ``next_fast_len(2N - 1)``: any length >= 2N - 1 leaves the slice
-    [N-1, 2N-1) free of wrap-around, and a fast length avoids FFTs of prime
-    size (2N - 1 = 59 at N = 30). The kernel is transformed once. The escape
-    field escape[j] = sum over in-lattice targets of w(|l - j|) varies near
-    open edges and is the convolution of the all-ones occupation.
+    shape: the circular one of n and the kernel w(r) on (-(N-1)..N-1)^d,
+    transformed once, on a box of ``next_fast_len(2N - 1)`` per axis (no
+    prime sizes, 2N - 1 = 59 at N = 30), where the offsets j - l + N - 1 of
+    l, j < N lie in [0, 2N - 2], so the slice [N-1, 2N-1) has no wrap-around.
+    n fills the first N entries of each axis: the forward transform goes
+    axis by axis from the last, over only the lines the done axes have
+    filled; the inverse goes from the first and slices each axis at once
+    (the others act line by line, so dropped lines feed no kept output).
+    The escape field escape[j] = sum over in-lattice targets of w(|l - j|)
+    varies near open edges and is the convolution of the all-ones occupation.
     """
-    from scipy.fft import irfftn, next_fast_len, rfftn
+    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 
     shape = params.shape
     w = _off_site_power(_squared_distances(*(np.arange(-(s - 1), s) for s in shape)), params.kappa, params.alpha)
     fshape = [next_fast_len(2 * s - 1, real=True) for s in shape]
     wf = rfftn(w, s=fshape)
-    sl = tuple(slice(s - 1, 2 * s - 1) for s in shape)
+    keep = [slice(s - 1, 2 * s - 1) for s in shape]
 
     def convolve(n):
-        return irfftn(rfftn(n, s=fshape) * wf, s=fshape)[sl]
+        x = rfft(n, n=fshape[-1], axis=-1)
+        for ax in reversed(range(n.ndim - 1)):
+            x = fft(x, n=fshape[ax], axis=ax, overwrite_x=True)
+        x *= wf  # in place, as the complex transforms: fresh arrays cost page faults
+        for ax in range(n.ndim - 1):
+            x = ifft(x, n=fshape[ax], axis=ax, overwrite_x=True)[(slice(None),) * ax + (keep[ax],)]
+        return irfft(x, n=fshape[-1], axis=-1)[..., keep[-1]]
 
     return convolve, convolve(np.ones(shape))
 

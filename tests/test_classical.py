@@ -201,10 +201,13 @@ class TestOpenBcOracle:
         got = cme_integrate(delta_profile(p, 0), p, [t])[0].values
         assert np.max(np.abs(got - ref)) < 1e-9
 
-    @pytest.mark.parametrize("d, N", [(1, 30), (2, 16)])
+    @pytest.mark.parametrize(
+        "d, N", [(1, 30), (2, 16), (3, 7), (1, 2), (1, 5), (1, 8), (2, 2), (2, 5), (2, 8)]
+    )
     def test_rhs_matches_dense_matvec(self, d, N):
-        # 2N - 1 = 59 and 31 are prime, so the generator runs at the padded
-        # fast length; it must equal the assembled generator exactly
+        # 2N - 1 = 59, 31 and 13 are prime, so the generator runs at the padded
+        # fast length; N = 2, 5, 8 give odd or tiny lengths 3, 9, 15. The
+        # axis-by-axis transform must equal the assembled generator exactly
         from levyexciton.classical import _generator
         from levyexciton.model import open_kernel_and_escape
 
@@ -214,7 +217,10 @@ class TestOpenBcOracle:
         W = np.zeros_like(r2)
         W[r2 > 0] = p.kappa * r2[r2 > 0] ** (-p.alpha)
         _, escape = open_kernel_and_escape(p)
-        assert np.max(np.abs(escape.ravel() - W.sum(axis=1))) <= 1e-15
+        # relative to the field's scale: at d = 3 it reaches 4.4, where 1e-15 is
+        # below the rounding of the dense row sums themselves
+        rows = W.sum(axis=1)
+        assert np.max(np.abs(escape.ravel() - rows)) <= 1e-15 * rows.max()
         n = np.random.default_rng(0).random(p.n_sites)
         n /= n.sum()
         ref = W @ n - W.sum(axis=1) * n

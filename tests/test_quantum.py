@@ -336,6 +336,16 @@ class TestPerturbativeSpectrum:
                 assert best == pytest.approx(p.gamma * (p.N - 1) / p.N, rel=0.05)
             assert slow_modes(p).perturbative_min_re == best
 
+    @pytest.mark.parametrize("N", [51, 61])
+    def test_first_order_real_parts_equal_block_one(self, N):
+        # slow_modes reads blocks 0 and 1 only: every q != 0 block's levels are
+        # exactly imaginary, so its first-order real parts are block 1's to the bit
+        p = ring(2.0, N)
+        one = perturbative_spectrum(1, p, order=1).real
+        assert np.all(one == p.gamma * (N - 1) / N)
+        for qi in range(1, N):
+            assert np.array_equal(perturbative_spectrum(qi, p, order=1).real, one)
+
     def test_slow_modes_first_order_minimum_is_exact(self):
         # the levels are exactly imaginary, so every first-order real part is gamma (N-1)/N to the bit
         p = ring(2.0, 51)

@@ -99,6 +99,18 @@ def test_demos_run_from_copies_and_get_manifests(tmp_path):
     ]
 
 
+def test_demos_run_with_relative_paths(tmp_path, monkeypatch):
+    # the demo runs with its own folder as working directory, so a relative
+    # OUT must not be read a second time from there
+    (tmp_path / "src" / "demos").mkdir(parents=True)
+    (tmp_path / "src" / "demos" / "stub.py").write_text(STUB_DEMO.format(value="2.0"))
+    monkeypatch.chdir(tmp_path)
+    artifacts.run_demos(Path("src"), Path("art-x"))
+    (entry,) = json.loads((tmp_path / "art-x" / "demo-stub" / "manifest.json").read_text())["artifacts"]
+    assert entry["name"] == "stub/table.csv"
+    assert (tmp_path / "art-x" / "demo-stub" / "stub" / "table.csv").read_text() == "x,y\n1,2.0\n"
+
+
 def test_benchmark_tracer_installs_and_uninstalls_against_src():
     # perfbench's tracer refuses to install when a public name it spans is gone;
     # this makes such a deletion fail here, not only in the benchmark's traced pass

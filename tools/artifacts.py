@@ -67,8 +67,8 @@ def run_demos(src: Path, out: Path) -> None:
         run = out / f"demo-{script.stem}"
         run.mkdir(parents=True, exist_ok=True)
         print(run.name, flush=True)
-        copy = shutil.copy(script, run)
-        subprocess.run([sys.executable, str(copy)], cwd=run, env=env, check=True, stdout=subprocess.DEVNULL)
+        shutil.copy(script, run)
+        subprocess.run([sys.executable, script.name], cwd=run, env=env, check=True, stdout=subprocess.DEVNULL)
         entries = [
             {"name": str(path.relative_to(run)), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
             for path in sorted((run / script.stem).rglob("*"))
