@@ -520,16 +520,15 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
     which perturbation theory places at gamma (N-1)/N; perturbative_min_re:
     smallest decaying real part of the first-order series over all N blocks
     (second order moves only imaginary parts, so it is the real part at
-    order 2 too, and it needs no level gaps), read from blocks 0 and 1 (the
-    levels are exactly imaginary, so each q != 0 block's are gamma (N-1)/N to
-    the bit). Each block drops its eigenvectors once solved.
+    order 2 too, and it needs no level gaps): gamma (N-1)/N to the bit, as
+    block 0 decays at gamma and each q != 0 block's levels are exactly
+    imaginary. Each block drops its eigenvectors once solved.
     """
     sets = sorted((replace(s, eigenvectors=None) for s in _blocks(params)), key=lambda s: s.q_index)
     re = np.concatenate([s.eigenvalues.real for s in sets])
     real = np.concatenate([s.branch for s in sets]) == "real"
     slow = decaying(re[real], params.gamma)
-    first = np.concatenate([perturbative_spectrum(qi, params, order=1).real for qi in (0, 1)])
-    pert = float(np.min(decaying(first, params.gamma)))
+    pert = params.gamma * (params.N - 1) / params.N
     return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, pert, sets)
 
 

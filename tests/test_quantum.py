@@ -321,30 +321,24 @@ class TestPerturbativeSpectrum:
         # self-invalidates (gaps ~ J/N^2), so the minimum is taken at order 2.
         # slow_modes reports the first-order minimum over all N blocks, which
         # is this loop's value exactly, also at N = 301 where order 2 refuses
-        # near-degenerate blocks.
-        for alpha, N in ((1.0, 51), (2.0, 51), (3.0, 51), (2.0, 301), (3.0, 301)):
+        # near-degenerate blocks. slow_modes writes that value down without
+        # the series: every q != 0 block's levels are exactly imaginary, so
+        # its first-order real parts are gamma (N-1)/N to the bit.
+        for alpha, N in ((1.0, 51), (2.0, 51), (3.0, 51), (2.0, 61), (2.0, 301), (3.0, 301)):
             p = ring(alpha, N)
             best = math.inf
             for qi in range(p.N):
+                if qi:
+                    assert np.all(perturbative_spectrum(qi, p, order=1).real == p.gamma * (p.N - 1) / p.N)
                 try:
                     re = perturbative_spectrum(qi, p, order=2).real
                 except DegenerateSpectrumError:
                     assert N == 301
                     continue
                 best = min(best, float(np.min(re[re > 1e-12 * p.gamma])))
-            if N == 51:
+            if N < 301:
                 assert best == pytest.approx(p.gamma * (p.N - 1) / p.N, rel=0.05)
             assert slow_modes(p).perturbative_min_re == best
-
-    @pytest.mark.parametrize("N", [51, 61])
-    def test_first_order_real_parts_equal_block_one(self, N):
-        # slow_modes reads blocks 0 and 1 only: every q != 0 block's levels are
-        # exactly imaginary, so its first-order real parts are block 1's to the bit
-        p = ring(2.0, N)
-        one = perturbative_spectrum(1, p, order=1).real
-        assert np.all(one == p.gamma * (N - 1) / N)
-        for qi in range(1, N):
-            assert np.array_equal(perturbative_spectrum(qi, p, order=1).real, one)
 
     def test_slow_modes_first_order_minimum_is_exact(self):
         # the levels are exactly imaginary, so every first-order real part is gamma (N-1)/N to the bit
