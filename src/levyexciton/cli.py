@@ -34,7 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, classical, manybody, quantum
-from .model import ModelParams, displacement_axis, format_float, output_times, sum_r2_hopping_sq, write_csv
+from .model import ModelParams, axis_moments, displacement_axis, format_float, output_times, sum_r2_hopping_sq
+from .model import write_csv
 
 SCHEMA_VERSION = "1"
 
@@ -274,9 +275,11 @@ def _run_quantum_variance(config: ExperimentConfig, col: _Collector):
     for N in sizes:
         pn = replace(p, N=N)
         norm = sum_r2_hopping_sq(pn) if run.normalize else 1.0
-        propagate = quantum.spectral_propagate_G if run.method == "spectral" else quantum.propagate_G
-        states = propagate(quantum.initial_g_delta(pn), pn, ts)
-        var_q = np.array([quantum.variance_of_density(s) for s in states])
+        if run.method == "spectral":
+            densities = quantum.ring_density(pn, ts)
+        else:
+            densities = [s.density for s in quantum.propagate_G(quantum.initial_g_delta(pn), pn, ts)]
+        var_q = np.array([axis_moments(n, N // 2, pn.bc)[1] for n in densities])
         var_cf = np.asarray(quantum.variance_closed_form(pn, ts))
         classical_line = 2.0 * sum_r2_hopping_sq(pn) / pn.gamma * ts
 

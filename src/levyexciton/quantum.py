@@ -20,16 +20,19 @@ perturbation theory in gamma gives the fast branch, and the exact spectrum
 exposes the slow (non-perturbative) one.
 
 Every block is solved, checked and stored in the plane-wave basis, where it
-is the complex symmetric diag(d) - (gamma/N) 1 1^T, d = E0 + gamma with E0
-the circulant's levels i(eps_k - eps_{k-q}), eps the band (one real FFT of
-the hopping row): its roots solve (gamma/N) sum_k 1/(d_k - E) = 1, its
-eigenvectors are (D - E)^-1 1 (Golub, SIAM Rev. 15, 1973), each its own
-unconjugated left eigenvector (Horn & Johnson, Matrix Analysis, 4.4). Dense
-``eig`` of the same matrix is the fallback, under the same check; only
-``spectral_propagate_G`` maps to sites. Blocks q and -q are transposes of each
-other, so one walk (``_blocks``) solves (N + 1)/2 blocks and mirrors the rest;
-a mirror shares its block's eigenvalues, which the propagator's decay factors
-and the spectrum rows use.
+is the complex symmetric M = diag(d) - (gamma/N) 1 1^T, d = E0 + gamma with
+E0 the circulant's levels i(eps_k - eps_{k-q}), eps the band (one real FFT
+of the hopping row, read once per walk): its roots solve (gamma/N) sum_k
+1/(d_k - E) = 1 (Golub, SIAM Rev. 15, 1973), and the resolvent columns
+(D - E)^-1 1 give each root's residual, condition number and weight c_j in
+1^T e^{-M t} 1 = sum_j c_j e^{-E_j t}. Dense ``eig`` of the same matrix is
+the fallback, under the same check. Blocks q and -q are transposes of each
+other, so one walk (``_blocks``) solves (N + 1)/2 blocks and mirrors the
+rest. The spectra, ``slow_modes`` and ``ring_density`` (the density from one
+site: one inverse FFT of the weighted roots) read the roots alone. The
+eigenvectors, each its own unconjugated left eigenvector (Horn & Johnson,
+Matrix Analysis, 4.4), are formed only for ``solve_dephasing_block`` and its
+callers; ``spectral_propagate_G`` is the one that maps them to sites.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ HERMITICITY_TOL = 1e-10
 REAL_BRANCH_IM_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e8  # largest eigenbasis condition bound spectral_propagate_G accepts
+SUM_RULE_TOL = 1e-8  # largest relative deviation of a block's weights from their two sum rules
 DEGENERACY_GAP = 1e-8
 SECULAR_MAX_SWEEPS = 200
 SORT_TIE_TOL = 1e-10
@@ -252,6 +256,18 @@ def build_circulant(q_index: int, params: ModelParams) -> np.ndarray:
     return 1j * (1.0 - np.exp(1j * q * (m[:, None] - m[None, :]))) * build_h(params)
 
 
+def _band(params: ModelParams) -> np.ndarray:
+    """The band eps_k, k = 0..N-1, of an odd ring: one real FFT of its even hopping row, so eps_{N-k} = eps_k."""
+    _require_odd_ring(params)
+    eps = np.fft.rfft(hopping_row(params)).real
+    return np.concatenate((eps, eps[:0:-1]))
+
+
+def _levels(eps: np.ndarray, q_index: int) -> np.ndarray:
+    # i(eps_k - eps_{k-q}); adding 0.0 turns the -0.0 real parts of 1j * x, x < 0, into 0.0
+    return 1j * (eps - eps[(np.arange(eps.size) - q_index) % eps.size]) + 0.0
+
+
 def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
     """Eigenvalues of C_q: i(eps_k - eps_{k-q}), with real parts exactly 0.
 
@@ -263,12 +279,7 @@ def unperturbed_spectrum(q_index: int, params: ModelParams) -> np.ndarray:
     exactly one eigenvalue vanishes per momentum and the remainder come in
     conjugate pairs.
     """
-    _require_odd_ring(params)
-    eps = np.fft.rfft(hopping_row(params)).real
-    eps = np.concatenate((eps, eps[:0:-1]))  # eps_{N-k} = eps_k
-    E0 = np.zeros(params.N, dtype=complex)
-    E0.imag = eps - eps[(np.arange(params.N) - q_index) % params.N]
-    return E0
+    return _levels(_band(params), q_index)
 
 
 def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> np.ndarray:
@@ -285,7 +296,7 @@ def perturbative_spectrum(q_index: int, params: ModelParams, order: int = 3) -> 
     gamma = params.gamma
     if q_index % N == 0:
         # C_0 vanishes identically, so gamma X is the exact block (no series needed)
-        return _steady_block(params).eigenvalues
+        return solve_dephasing_block(0, params).eigenvalues
     E0 = unperturbed_spectrum(q_index, params)
     E = E0 + gamma * (N - 1) / N
     if order == 1:
@@ -318,11 +329,12 @@ class SpectralSet:
 
     Eigenvalues are sorted by (Re E, Im E); eigenvectors are unit columns w_j
     in the plane-wave basis (row k: e^{2 pi i m k / N} / sqrt N), or None in
-    the blocks of :func:`slow_modes`; ``residual`` is :func:`_block_residual`.
+    the walks without them; ``residual`` is the largest ||(M - E_j) w_j||.
     ``condition`` is the certified upper bound sqrt(N) ||kappa||_2 on the
     2-norm condition number of the eigenvector matrix, kappa_j being the
     eigenvalue condition numbers; ``solver`` says which path produced the
-    block, ``"secular"`` or ``"dense"``.
+    block, ``"secular"`` or ``"dense"``. ``weights`` c_j = (1^T w_j)^2 / w_j^T
+    w_j give 1^T e^{-M t} 1 = sum_j c_j e^{-E_j t}, within ``sum_rule``.
     """
 
     q_index: int
@@ -332,18 +344,28 @@ class SpectralSet:
     residual: float
     condition: float
     solver: str
+    weights: np.ndarray
+    sum_rule: float
 
 
 def _pairing_norms(W: np.ndarray) -> np.ndarray:
-    """n_j = w_j^T w_j.
-
-    The block is complex symmetric, so w_j is also the left eigenvector paired
-    with itself (unconjugated) and 1/|n_j| is eigenvalue j's condition number.
-    """
+    """n_j = w_j^T w_j: w_j is its own (unconjugated) left eigenvector, so 1/|n_j| is E_j's condition number."""
     return np.einsum("kj,kj->j", W, W)
 
 
-def _spectral_set(q_index: int, E: np.ndarray, W: np.ndarray, residual: float, solver: str) -> SpectralSet:
+def _spectral_set(q_index, d, rho, E, W, residual, solver, kappa, c) -> SpectralSet | None:
+    """Block q sorted, or None if it fails the one check of every block M = diag(d) - rho 1 1^T.
+
+    The column residual is at most ``EIG_RESIDUAL_TOL``, sum E = tr M, and the weights c keep sum c = N (S_q(0) = 1)
+    and sum c E = 1^T M 1 = sum d - rho N^2 within ``SUM_RULE_TOL``, relative to N and N max(1, |d|). E, the
+    columns W (or None), the condition numbers kappa and c sort together.
+    """
+    N = d.size
+    scale = max(1.0, float(np.max(np.abs(d))))
+    trace_dev = abs(E.sum() - (d.sum() - rho * N)) / scale
+    rule = max(abs(c.sum() - N), abs(c @ E - (d.sum() - rho * N * N)) / scale) / N
+    if not (residual <= EIG_RESIDUAL_TOL and trace_dev <= EIG_RESIDUAL_TOL and rule <= SUM_RULE_TOL):
+        return None
     # sort by (Re E, Im E) with real parts equal to SORT_TIE_TOL counted as
     # ties: the roots come in conjugate pairs E, conj(E), whose real parts
     # differ only by rounding, and either solver must list a pair the same way
@@ -351,13 +373,11 @@ def _spectral_set(q_index: int, E: np.ndarray, W: np.ndarray, residual: float, s
     tie_tol = SORT_TIE_TOL * max(1.0, float(np.max(np.abs(E))))
     group = np.concatenate(([0], np.cumsum(np.diff(E.real[by_re]) > tie_tol)))
     order = by_re[np.lexsort((E.imag[by_re], group))]
-    E, W = E[order], W[:, order]
+    E, W = E[order], None if W is None else W[:, order]
     branch = np.where(np.abs(E.imag) <= REAL_BRANCH_IM_TOL, "real", "complex")
-    with np.errstate(divide="ignore"):
-        kappa = 1.0 / np.abs(_pairing_norms(W))
     # max kappa <= cond_2(W) <= ||W||_F ||W^-1||_F = sqrt(N) ||kappa||_2
-    condition = math.sqrt(W.shape[0]) * float(np.linalg.norm(kappa))
-    return SpectralSet(q_index, E, W, branch, residual, condition, solver)
+    condition = math.sqrt(N) * float(np.linalg.norm(kappa))
+    return SpectralSet(q_index, E, W, branch, residual, condition, solver, c[order], rule)
 
 
 def _secular_seeds(d: np.ndarray, gamma: float) -> np.ndarray:
@@ -410,30 +430,45 @@ def _secular_roots(d: np.ndarray, rho: float, z: np.ndarray) -> tuple[np.ndarray
     return z, False
 
 
-def _steady_block(params: ModelParams) -> SpectralSet:
-    """q = 0: C_0 = 0 and the block is gamma I - (gamma/N) 1 1^T.
+def _solve_block(q_index: int, params: ModelParams, eps: np.ndarray, vectors: bool) -> SpectralSet:
+    """Block q of the ring whose band is ``eps``, with its eigenvectors only if ``vectors``.
 
-    The steady mode is the uniform column 1/sqrt N (the site e_0); the level
-    gamma takes the orthonormal real columns sqrt(2/N) cos(2 pi m k / N) and
-    sqrt(2/N) sin(2 pi m k / N), m = 1..(N-1)/2, so the pairing is the identity.
+    The secular roots' resolvent columns R_j = (D - E_j)^-1 1 give the rest
+    unnormalized: (M - E_j) R_j = f(E_j) 1, f the secular function, so the
+    unit column's residual is |f(E_j)| sqrt N / ||R_j||; kappa_j = ||R_j||^2 /
+    |R_j^T R_j|; and 1^T R_j = 1/rho, so c_j = 1 / (rho^2 R_j^T R_j).
     """
-    N = params.N
-    E = np.full(N, params.gamma, dtype=complex)
-    E[0] = 0.0
-    phase = 2.0 * math.pi * (np.outer(np.arange(N), np.arange(1, (N + 1) // 2)) % N) / N  # reduced: keeps digits
-    W = np.empty((N, N), dtype=complex)
-    W[:, 0] = 1.0 / math.sqrt(N)
-    W[:, 1::2] = math.sqrt(2.0 / N) * np.cos(phase)
-    W[:, 2::2] = math.sqrt(2.0 / N) * np.sin(phase)
-    return _spectral_set(0, E, W, 0.0, "secular")
-
-
-def _block_residual(d: np.ndarray, rho: float, E: np.ndarray, W: np.ndarray) -> float:
-    """max_j ||M w_j - E_j w_j||_2 for M = diag(d) - rho 1 1^T, or inf when sum E != tr M."""
-    with np.errstate(invalid="ignore"):
+    N, gamma = params.N, params.gamma
+    rho, d, k = gamma / N, _levels(eps, q_index) + gamma, np.arange(N)
+    if q_index % N == 0:  # C_0 = 0: the steady mode k = 0, the uniform column, carries all of 1's weight
+        # the reflector I - 2 v v^T / v^T v, v = e_0 - 1/sqrt N, is real orthogonal and maps e_0 to 1/sqrt N
+        v = np.where(k == 0, 1.0, 0.0) - 1.0 / math.sqrt(N)
+        W = np.eye(N, dtype=complex) - np.outer(v, v / (v @ v / 2.0)) if vectors else None
+        return _spectral_set(0, d, rho, d * (k > 0), W, 0.0, "secular", np.ones(N), np.where(k == 0, float(N), 0.0))
+    if gamma == 0.0:
+        W = np.eye(N, dtype=complex) if vectors else None
+        return _spectral_set(q_index, d, rho, d, W, 0.0, "secular", np.ones(N), np.ones(N))
+    E, converged = _secular_roots(d, rho, _secular_seeds(d, gamma))
+    if converged:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = 1.0 / (d[:, None] - E)
+            norm, pair = np.linalg.norm(R, axis=0), _pairing_norms(R)
+            res = math.sqrt(N) * float(np.max(np.abs(1.0 - rho * R.sum(axis=0)) / norm))
+            W = R / norm if vectors else None
+            s = _spectral_set(q_index, d, rho, E, W, res, "secular", norm**2 / np.abs(pair), 1.0 / (rho**2 * pair))
+        if s is not None:
+            return s
+    try:
+        E, W = np.linalg.eig(np.diag(d) - rho)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigensolver failed at q index {q_index}: {exc}") from exc
+    with np.errstate(invalid="ignore"):  # the explicit residual of eig's unit columns
         res = float(np.max(np.linalg.norm((d[:, None] - E) * W - rho * W.sum(axis=0), axis=0)))
-    trace_dev = abs(E.sum() - (d.sum() - rho * d.size))
-    return res if trace_dev <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(d)))) else math.inf
+    pair = _pairing_norms(W)
+    s = _spectral_set(q_index, d, rho, E, W if vectors else None, res, "dense", 1 / np.abs(pair), W.sum(0) ** 2 / pair)
+    if s is None:
+        raise SpectralError(f"dense eig fails the residual ({res:.3e}), trace or sum-rule check at q index {q_index}")
+    return s
 
 
 def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
@@ -442,52 +477,36 @@ def solve_dephasing_block(q_index: int, params: ModelParams) -> SpectralSet:
     The roots come from :func:`_secular_roots`; eigenvector j is the unit
     column (D - E_j)^-1 1, in the plane-wave basis of :class:`SpectralSet`.
     q = 0 and gamma = 0 are solved exactly. A block whose roots do not
-    converge or fail :func:`_block_residual` (column residual at most
-    ``EIG_RESIDUAL_TOL``, roots summing to the trace) goes to dense ``eig``
-    of the same M (``solver == "dense"``), which passes the same check or
-    raises :class:`SpectralError`.
+    converge or fail the check of :func:`_spectral_set` goes to dense ``eig``
+    of the same M (``solver == "dense"``), which passes the same check, its
+    residual formed from its columns, or raises :class:`SpectralError`.
     """
-    _require_odd_ring(params)
-    N, gamma = params.N, params.gamma
-    if q_index % N == 0:
-        return _steady_block(params)
-    d = unperturbed_spectrum(q_index, params) + gamma
-    if gamma == 0.0:
-        return _spectral_set(q_index, d, np.eye(N, dtype=complex), 0.0, "secular")
-    rho = gamma / N
-    E, converged = _secular_roots(d, rho, _secular_seeds(d, gamma))
-    if converged:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = 1.0 / (d[:, None] - E)
-            W /= np.linalg.norm(W, axis=0)
-        res = _block_residual(d, rho, E, W)
-        if res <= EIG_RESIDUAL_TOL:
-            return _spectral_set(q_index, E, W, res, "secular")
-    try:
-        E, W = np.linalg.eig(np.diag(d) - rho)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigensolver failed at q index {q_index}: {exc}") from exc
-    res = _block_residual(d, rho, E, W)
-    if not res <= EIG_RESIDUAL_TOL:
-        raise SpectralError(f"dense eig fails the residual or trace check ({res:.3e}) at q index {q_index}")
-    return _spectral_set(q_index, E, W, res, "dense")
+    return _solve_block(q_index, params, _band(params), True)
 
 
-def _blocks(params: ModelParams):
-    """All N momentum blocks, solving only q = 0..(N-1)/2.
+def _blocks(params: ModelParams, vectors: bool = True):
+    """All N momentum blocks, solving only q = 0..(N-1)/2, with eigenvectors only if ``vectors``.
 
     Each block q > 0 is followed by its mirror N - q: M_{-q} = M_q^T =
     P M_q P, P the reflection, which maps plane wave k to -k. So block -q
-    shares the eigenvalues of block q and has the eigenvectors P w_j. A
-    caller holds at most one block pair at a time.
+    shares the eigenvalues and weights of block q and has the eigenvectors
+    P w_j. A caller holds at most one block pair at a time. The band is read once; blocks with eigenvectors
+    come from :func:`solve_dephasing_block`. A finished walk logs its work at DEBUG.
     """
     N = params.N
+    eps = _band(params)
     flip = (-np.arange(N)) % N  # P on plane-wave rows: k -> -k
+    dense, residual, rule = 0, 0.0, 0.0
     for qi in range((N + 1) // 2):
-        s = solve_dephasing_block(qi, params)
+        s = solve_dephasing_block(qi, params) if vectors else _solve_block(qi, params, eps, False)
+        dense, residual, rule = dense + (s.solver == "dense"), max(residual, s.residual), max(rule, s.sum_rule)
         yield s
         if qi:
-            yield replace(s, q_index=N - qi, eigenvectors=s.eigenvectors[flip])
+            yield replace(s, q_index=N - qi, eigenvectors=None if s.eigenvectors is None else s.eigenvectors[flip])
+    _log.debug(
+        "block walk: N = %d, blocks = %d, dense = %d, max_residual = %.3e, max_sum_rule = %.3e",
+        N, (N + 1) // 2, dense, residual, rule,
+    )
 
 
 def solve_dephasing_spectrum(params: ModelParams) -> list[SpectralSet]:
@@ -522,14 +541,41 @@ def slow_modes(params: ModelParams) -> SlowModeSummary:
     (second order moves only imaginary parts, so it is the real part at
     order 2 too, and it needs no level gaps): gamma (N-1)/N to the bit, as
     block 0 decays at gamma and each q != 0 block's levels are exactly
-    imaginary. Each block drops its eigenvectors once solved.
+    imaginary. The blocks come from the walk without eigenvectors.
     """
-    sets = sorted((replace(s, eigenvectors=None) for s in _blocks(params)), key=lambda s: s.q_index)
+    sets = sorted(_blocks(params, vectors=False), key=lambda s: s.q_index)
     re = np.concatenate([s.eigenvalues.real for s in sets])
     real = np.concatenate([s.branch for s in sets]) == "real"
     slow = decaying(re[real], params.gamma)
     pert = params.gamma * (params.N - 1) / params.N
     return SlowModeSummary(params.N, float(np.min(slow)), float(np.min(re[~real])), slow.size, pert, sets)
+
+
+def ring_density(params: ModelParams, t):
+    """The exciton density on the ring from the site N // 2 (:func:`initial_g_delta`), from the roots alone.
+
+    Block q enters it only through S_q(t) = 1^T e^{-M_q t} 1 / N = sum_j c_j e^{-E_j t} / sum_j c_j, the pole
+    expansion of the generalized master equation (Kenkre & Reineker, Exciton Dynamics in Molecular Crystals and
+    Aggregates, 1982); dividing by the computed sum c (N exactly) cancels the weights' common rounding. S_0 = 1,
+    S_{N-q} = S_q, and one ``scipy.fft.irfft`` of 1 - S_q, rolled to N // 2, is what has left the start. It runs
+    in :func:`levyexciton.model.propagated`, with the density as populations.
+    """
+    _require_odd_ring(params)
+    N = params.N
+    n0 = np.zeros(N)
+    n0[N // 2] = 1.0
+
+    def evolve(ts):
+        D = np.zeros(((N + 1) // 2, ts.size))  # 1 - S_q: from e^{-E t} - 1, so that S_q near 1 keeps its digits
+        for s in _blocks(params, vectors=False):
+            if 0 < s.q_index <= N // 2:
+                c = s.weights
+                D[s.q_index] = -((c @ np.expm1(-np.outer(s.eigenvalues, ts))) / c.sum()).real
+        n = -np.roll(scipy.fft.irfft(D, N, axis=0), N // 2, axis=0).T
+        n[:, N // 2] += 1.0
+        return n
+
+    return propagated(t, n0, evolve, lambda n: n)
 
 
 def spectral_propagate_G(G0: CorrelationMatrix, params: ModelParams, t):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
@@ -26,6 +27,7 @@ from levyexciton.quantum import (
     momentum,
     perturbative_spectrum,
     propagate_G,
+    ring_density,
     slow_modes,
     solve_dephasing_block,
     solve_dephasing_spectrum,
@@ -217,6 +219,23 @@ class TestZenoLimit:
                 float(np.max(np.abs(cm.density - prof.values)))
                 for cm, prof in zip(quantum_states, cme_integrate(n0, p, ts))
             )
+
+        assert 3.8 <= error(20.0) / error(40.0) <= 4.2
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_ring_blocks_slowest_modes_approach_the_classical_rates(self, alpha):
+        # block q's slowest mode decays at the classical ring rate lambda_q =
+        # sum_r (2 h_r^2 / gamma)(1 - cos(2 pi q r / N)) of the two-image row,
+        # up to O(1/gamma^2) (measured 4.018 and 4.050); alpha = 1 reads 3.58 at
+        # these gammas, as its band grows like J ln N
+        def error(gamma):
+            p = ring(alpha, 101, gamma=gamma)
+            h2, r = hopping_row(p) ** 2, np.arange(p.N)
+            worst = 0.0
+            for s in slow_modes(p).sets[1:]:
+                lam = np.sum(2.0 * h2 / gamma * (1.0 - np.cos(2.0 * np.pi * s.q_index * r / p.N)))
+                worst = max(worst, abs(float(np.min(s.eigenvalues.real)) - lam) / lam)
+            return worst
 
         assert 3.8 <= error(20.0) / error(40.0) <= 4.2
 
@@ -623,23 +642,94 @@ class TestSecularSolver:
         assert summary.n_real == sum(int(np.sum((s.branch == "real") & (s.eigenvalues.real > 1e-12))) for s in full)
 
 
+class TestRingDensity:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        N=st.integers(2, 30).map(lambda m: 2 * m + 1),
+        alpha=st.floats(0.55, 4.0),
+        gamma=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        J=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    )
+    # the corners, which the draws (most at small N and gamma = 1) rarely reach
+    @example(N=61, alpha=0.55, gamma=1e-3, J=10.0)
+    @example(N=61, alpha=4.0, gamma=1e-3, J=0.1)
+    @example(N=61, alpha=0.55, gamma=1e2, J=10.0)
+    @example(N=5, alpha=4.0, gamma=1e2, J=0.1)
+    def test_matches_propagate_G_on_random_rings(self, N, alpha, gamma, J):
+        # the roots-only density against the Taylor propagator at gamma t <= 3, to
+        # times where propagate_G takes at most 30 steps (far below TAYLOR_MAX_WORK)
+        p = ring(alpha, N, gamma=gamma, J=J)
+        levels = np.linalg.eigvalsh(build_h(p))
+        ts = np.linspace(0.0, min(3.0 / gamma, 30 * quantum.TAYLOR_THETA / (levels[-1] - levels[0] + gamma / 2)), 4)
+        densities = ring_density(p, ts)
+        for n, cm in zip(densities, propagate_G(initial_g_delta(p), p, ts)):
+            assert np.max(np.abs(n - cm.density)) <= 1e-9
+            assert abs(n.sum() - 1.0) <= 1e-13
+        for s in quantum._blocks(p, vectors=False):
+            c, E, d = s.weights, s.eigenvalues, unperturbed_spectrum(s.q_index, p) + gamma
+            # S_q(0) = 1 and S_q'(0) = -1^T M_q 1 / N; measured within 8.3e-11 over this domain
+            assert abs(c.sum() - N) <= 1e-9 * N
+            assert abs(c @ E - (d.sum() - gamma * N)) <= 1e-9 * N * max(1.0, float(np.max(np.abs(d))))
+            if s.q_index == 0:  # the steady root E = 0 carries all the weight, so S_0 = 1
+                assert E[0] == 0.0 and c[0] == N and not c[1:].any()
+
+    def test_fallback_blocks_and_density_on_a_near_degenerate_ring(self):
+        # N = 201, alpha = 2, gamma = 10: blocks 67, 93, 96 and 99 hold poles so close
+        # that their resolvent columns miss EIG_RESIDUAL_TOL, so dense eig solves them
+        # and their mirrors, and its columns give their weights
+        p = ring(2.0, 201, gamma=10.0)
+        summary = slow_modes(p)
+        assert [s.q_index for s in summary.sets if s.solver == "dense"] == [67, 93, 96, 99, 102, 105, 108, 134]
+        assert summary.real_gap == pytest.approx(3.196255568375786e-04, rel=1e-12)
+        ts = [0.25, 0.5, 1.0]
+        for n, cm in zip(ring_density(p, ts), propagate_G(initial_g_delta(p), p, ts)):
+            assert np.max(np.abs(n - cm.density)) <= 1e-13
+
+    def test_runs_in_the_frame(self):
+        p = ring(2.0, 11, gamma=1.0)
+        zero, later = ring_density(p, [0.0, 0.5])
+        assert np.array_equal(zero, np.eye(1, 11, 5)[0])
+        assert np.array_equal(ring_density(p, 0.5), later)
+        with pytest.raises(ValueError, match="strictly increasing and non-negative"):
+            ring_density(p, [1.0, 1.0])
+        with pytest.raises(ValueError, match="use odd N"):
+            ring_density(ring(2.0, 10), [0.0])
+
+    def test_walk_logs_its_work(self, caplog, monkeypatch):
+        p = ring(2.0, 21, gamma=1.0)
+        for roots, dense in ((quantum._secular_roots, 0), (lambda d, rho, z: (z, False), 10)):
+            monkeypatch.setattr(quantum, "_secular_roots", roots)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="levyexciton"):
+                sets = slow_modes(p).sets
+            (rec,) = [r for r in caplog.records if r.name == "levyexciton.quantum"]
+            got = dict(re.findall(r"(\w+) = (\S+?)(?:,|$)", rec.getMessage()))
+            assert (int(got["N"]), int(got["blocks"]), int(got["dense"])) == (21, 11, dense)
+            assert float(got["max_residual"]) == pytest.approx(max(s.residual for s in sets), rel=1e-3)
+            assert float(got["max_sum_rule"]) == pytest.approx(max(s.sum_rule for s in sets), rel=1e-3)
+            assert float(got["max_sum_rule"]) <= 1e-12
+
+
 class TestBlockWalk:
     def test_each_half_block_solved_once_and_all_blocks_covered(self, monkeypatch):
         # the walk solves q = 0..(N-1)/2 once each, in order, and mirrors the rest
         p = ring(2.0, 21, gamma=1.0)
         solved = []
-        solve = quantum.solve_dephasing_block
+        solve = quantum._solve_block  # both walks, with and without eigenvectors, solve each block here
 
-        def counting(q_index, params):
+        def counting(q_index, params, eps, vectors):
             solved.append(q_index)
-            return solve(q_index, params)
+            return solve(q_index, params, eps, vectors)
 
-        monkeypatch.setattr(quantum, "solve_dephasing_block", counting)
+        monkeypatch.setattr(quantum, "_solve_block", counting)
         for blocks in (solve_dephasing_spectrum, lambda p: slow_modes(p).sets):
             sets = blocks(p)
             assert solved == list(range(11))
             assert [s.q_index for s in sets] == list(range(21))
             solved.clear()
+        ring_density(p, [0.5, 2.0])
+        assert solved == list(range(11))
+        solved.clear()
         states = spectral_propagate_G(initial_g_delta(p), p, [0.5, 2.0])
         assert solved == list(range(11))
         ode = propagate_G(initial_g_delta(p), p, [0.5, 2.0])
